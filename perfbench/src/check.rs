@@ -118,10 +118,10 @@ mod tests {
 
     #[test]
     fn reference_matches_a_parallel_run_and_rejects_another_grid() {
-        let cells = expand(&grids::served_job(11, 0)).unwrap();
+        let cells = expand(&grids::sharded_sweep(11)).unwrap();
         let reference = Reference::compute(cells.clone());
         assert!(reference.matches(&FleetRunner::new(2).run(cells)));
-        let other = expand(&grids::served_job(11, 1)).unwrap();
+        let other = expand(&grids::sharded_sweep(12)).unwrap();
         assert!(!reference.matches(&FleetRunner::new(2).run(other)));
         let summary = format!("{{\"digest\":\"{:#018x}\"}}", reference.digest);
         assert!(reference.matches_summary(&summary));

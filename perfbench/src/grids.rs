@@ -1,9 +1,7 @@
 //! Workload inputs: `GridSpec` text generated from the workload seed.
 //!
 //! The seed shifts every seed axis of the generated text; the simulator
-//! only ever sees that text.  Served jobs come from a [`JobPlan`] that the
-//! seed also fixes, so which jobs re-read cached cells is decided here, never
-//! by files a previous run left behind.
+//! only ever sees that text.
 
 /// First scenario seed of the grids generated for workload seed `seed`.
 pub fn seed_base(seed: u64) -> u64 {
@@ -64,106 +62,13 @@ pub fn sharded_sweep(seed: u64) -> String {
     )
 }
 
-/// One served job: a small mixed grid of short LPL cells plus a path-loss
-/// Bounce cell, its seeds drawn from fresh-job number `fresh`.
-pub fn served_job(seed: u64, fresh: usize) -> String {
-    served_jobs(seed, fresh, 1)
-}
-
-/// The cells of `count` consecutive fresh served jobs in one grid — the
-/// same scenarios those jobs run, for the traced layer replay.
-pub fn served_jobs(seed: u64, first_fresh: usize, count: usize) -> String {
-    let first = seed_base(seed) + first_fresh as u64;
-    let seeds = seed_list(first, count as u64);
-    format!(
-        "[grid]\nname = served_job\nseconds = 60\n\n\
-         [cell.lpl]\napp = lpl\ninterference = 0.18\nseeds = {seeds}\nchannels = 17, 26\n\
-         name = lpl_ch{{channel}}_seed{{seed}}\n\n\
-         [cell.bounce]\napp = bounce\nseeds = {seeds}\nseconds = 1\nmedium = path_loss\n\
-         positions = 1:0,0 4:10,0\nname = bounce_pl_seed{{seed}}\n"
-    )
-}
-
-/// Percent of served jobs that repeat an earlier job's grid.
-pub const REPEAT_PERCENT: u64 = 40;
-
-/// Which grid each served job submits, in issue order: a fresh grid, or a
-/// repeat of one issued at least `lag` jobs earlier (so its cells are
-/// normally cached by then).  Fixed by the seed.
-pub struct JobPlan {
-    seed: u64,
-    lag: usize,
-    rng: SplitMix64,
-    /// Fresh-grid number of each planned job.
-    jobs: Vec<usize>,
-    /// Fresh grids issued before each planned job.
-    fresh_before: Vec<usize>,
-    /// Fresh grids issued so far.
-    fresh: usize,
-}
-
-impl JobPlan {
-    /// An empty plan for workload seed `seed`; `lag` is the client count.
-    pub fn new(seed: u64, lag: usize) -> JobPlan {
-        JobPlan {
-            seed,
-            lag,
-            rng: SplitMix64(seed ^ 0x5EED_F00D),
-            jobs: Vec::new(),
-            fresh_before: Vec::new(),
-            fresh: 0,
-        }
-    }
-
-    /// The fresh-grid number job `k` submits, extending the plan as needed.
-    pub fn job(&mut self, k: usize) -> usize {
-        while self.jobs.len() <= k {
-            let i = self.jobs.len();
-            self.fresh_before.push(self.fresh);
-            // Grids first issued at least `lag` jobs ago.
-            let settled = i.checked_sub(self.lag).map_or(0, |j| self.fresh_before[j]);
-            let id = if settled > 0 && self.rng.next() % 100 < REPEAT_PERCENT {
-                (self.rng.next() % settled as u64) as usize
-            } else {
-                self.fresh += 1;
-                self.fresh - 1
-            };
-            self.jobs.push(id);
-        }
-        self.jobs[k]
-    }
-
-    /// The grid text of fresh-grid number `id`.
-    pub fn text(&self, id: usize) -> String {
-        served_job(self.seed, id)
-    }
-}
-
-/// SplitMix64: a tiny, well-mixed deterministic generator.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use quanto_fleet::{FleetRunner, GridSpec};
 
     fn all_grids(seed: u64) -> Vec<String> {
-        vec![
-            lpl_deep(seed),
-            wide_path_loss(seed),
-            sharded_sweep(seed),
-            served_job(seed, 3),
-        ]
+        vec![lpl_deep(seed), wide_path_loss(seed), sharded_sweep(seed)]
     }
 
     #[test]
@@ -179,7 +84,7 @@ mod tests {
     #[test]
     fn different_seeds_give_different_reference_digests() {
         let digest = |seed| {
-            let cells = GridSpec::parse(&served_job(seed, 0))
+            let cells = GridSpec::parse(&sharded_sweep(seed))
                 .unwrap()
                 .expand()
                 .unwrap();
@@ -187,47 +92,5 @@ mod tests {
         };
         assert_eq!(digest(1), digest(1));
         assert_ne!(digest(1), digest(2));
-    }
-
-    #[test]
-    fn served_jobs_cover_the_cells_of_consecutive_fresh_jobs() {
-        let union = GridSpec::parse(&served_jobs(5, 0, 3))
-            .unwrap()
-            .expand()
-            .unwrap();
-        let mut singles = Vec::new();
-        for f in 0..3 {
-            singles.extend(
-                GridSpec::parse(&served_job(5, f))
-                    .unwrap()
-                    .expand()
-                    .unwrap(),
-            );
-        }
-        assert_eq!(union.len(), singles.len());
-        for s in &singles {
-            assert!(union.iter().any(|u| u.spec_digest() == s.spec_digest()));
-        }
-    }
-
-    #[test]
-    fn job_plan_is_seeded_and_repeats_only_settled_grids() {
-        let mut a = JobPlan::new(3, 2);
-        let mut b = JobPlan::new(3, 2);
-        let ids: Vec<usize> = (0..400).map(|k| a.job(k)).collect();
-        assert_eq!(ids, (0..400).map(|k| b.job(k)).collect::<Vec<_>>());
-        let mut other = JobPlan::new(4, 2);
-        assert_ne!(ids, (0..400).map(|k| other.job(k)).collect::<Vec<_>>());
-        let mut fresh = 0;
-        for (k, &id) in ids.iter().enumerate() {
-            if id == fresh {
-                fresh += 1;
-            } else {
-                assert!(id < fresh, "job {k} repeats grid {id} before it was issued");
-                assert!(k > 2, "the first jobs cannot repeat a settled grid");
-            }
-        }
-        let repeats = ids.len() - fresh;
-        assert!((100..220).contains(&repeats), "{repeats} repeats of 400");
     }
 }

@@ -20,12 +20,8 @@ mod sys;
 mod traced;
 mod workloads;
 
-use check::Reference;
 use metrics::Metrics;
-use workloads::{Prepared, Workload};
-
-/// Set-ups timed per run, back to back; `setup_s` is their median.
-const SETUP_REPS: usize = 31;
+use workloads::Workload;
 
 struct Args {
     workload: Workload,
@@ -34,8 +30,7 @@ struct Args {
     trace: bool,
 }
 
-const USAGE: &str =
-    "usage: perfbench --workload lpl_deep|wide_path_loss|served_small_jobs|sharded_sweep \
+const USAGE: &str = "usage: perfbench --workload lpl_deep|wide_path_loss|sharded_sweep \
      --seed N --seconds S --trace 0|1";
 
 fn parse_args(args: &[String]) -> Result<Args, String> {
@@ -91,6 +86,10 @@ fn main() {
             eprintln!("shard failed: {e}");
             std::process::exit(1);
         }
+        if let Err(e) = workloads::record_shard_peak() {
+            eprintln!("{e}");
+            std::process::exit(1);
+        }
         return;
     }
     let args = match parse_args(&args) {
@@ -118,58 +117,6 @@ fn main() {
     }
 }
 
-/// Timed set-ups, seconds: the whole of each, and its parse-and-expand part.
-#[derive(Debug, Default)]
-pub struct SetupTimes {
-    /// From workload start until the first scenario can be issued.
-    pub totals: Vec<f64>,
-    /// Grid parse and expand alone.
-    pub expands: Vec<f64>,
-}
-
-impl SetupTimes {
-    /// Times `SETUP_REPS` set-ups, releasing each at once so that every
-    /// one starts from the same process state.
-    pub fn sample(&mut self, workload: Workload, seed: u64) -> Result<(), String> {
-        for _ in 0..SETUP_REPS {
-            let setup = workloads::setup(workload, seed)?;
-            self.totals.push(setup.total.as_secs_f64());
-            self.expands.push(setup.expand.as_secs_f64());
-            setup.prepared.release();
-        }
-        Ok(())
-    }
-}
-
-/// A workload ready to measure.
-pub struct Ready {
-    /// The set-up the measurement uses, warmed up by one unmeasured pass.
-    pub prepared: Prepared,
-    /// The grid's reference (none for the served workload, whose jobs are
-    /// checked one grid at a time after the window).
-    pub reference: Option<Reference>,
-    /// The set-ups timed so far.
-    pub setups: SetupTimes,
-}
-
-/// Computes the grid's reference, times `SETUP_REPS` set-ups, then sets
-/// up once more for the measurement and runs one unmeasured warm-up pass.
-pub fn ready(workload: Workload, seed: u64) -> Result<Ready, String> {
-    let reference = match workload {
-        Workload::ServedSmallJobs => None,
-        _ => Some(Reference::compute(check::expand(&workload.grid(seed))?)),
-    };
-    let mut setups = SetupTimes::default();
-    setups.sample(workload, seed)?;
-    let mut prepared = workloads::setup(workload, seed)?.prepared;
-    workloads::warm_up(&mut prepared, reference.as_ref())?;
-    Ok(Ready {
-        prepared,
-        reference,
-        setups,
-    })
-}
-
 fn end_to_end(args: &Args) -> Result<metrics::Outcome, String> {
     let threads = workloads::threads();
     println!(
@@ -178,30 +125,28 @@ fn end_to_end(args: &Args) -> Result<metrics::Outcome, String> {
         args.seed,
         args.seconds
     );
-    let Ready {
-        mut prepared,
-        reference,
-        setups,
-    } = ready(args.workload, args.seed)?;
-    let window = workloads::run_window(&mut prepared, reference.as_ref(), args.seconds);
-    prepared.release();
-    let window = window?;
+    let ready = workloads::ready(args.workload, args.seed)?;
+    let window = workloads::run_window(&ready, args.seconds)?;
 
     let walls: Vec<f64> = window.passes.iter().map(|p| p.wall.as_secs_f64()).collect();
     let (tail, tail_label) = stats::tail(&walls);
     let scenarios = window.scenarios();
     let mut m = Metrics::default();
-    m.push("setup_s", stats::median(&setups.totals), "s");
+    m.push("setup_s", stats::median(&window.setups.totals), "s");
+    m.note(
+        "setup_s",
+        &format!("median of {} batches", window.setups.totals.len()),
+    );
     m.push("sweep_wall_s.p50", stats::median(&walls), "s");
     m.push("sweep_wall_s.tail", tail, "s");
     m.note("sweep_wall_s.tail", &tail_label);
     m.push("scenarios_per_s", window.scenarios_per_s(), "1/s");
+    m.push("cpu_ms_per_scenario", window.cpu_ms_per_scenario(), "ms");
     m.push(
-        "cpu_ms_per_scenario",
-        window.cpu.as_secs_f64() * 1e3 / scenarios.max(1) as f64,
-        "ms",
+        "peak_rss_mb",
+        sys::peak_rss_mb() + window.shard_rss_mb(),
+        "MiB",
     );
-    m.push("peak_rss_mb", sys::peak_rss_mb(), "MiB");
     assert_eq!(
         m.names(),
         metrics::END_TO_END,

@@ -1,25 +1,20 @@
-//! The four workloads: their set-up and the measurement window that yields
+//! The three workloads: their set-up and the measurement window that yields
 //! the end-to-end metrics.  Load comes from this one process, using at most
-//! `threads()` worker threads, shard processes or client connections.
+//! `threads()` worker threads or shard processes.
 
 use crate::check::{expand, Reference};
-use crate::grids::{self, JobPlan};
+use crate::grids;
 use crate::sys;
 use quanto_fleet::dist::{self, DistOptions, GridOverrides};
 use quanto_fleet::{FleetProgress, FleetRunner, Scenario};
 use quanto_serve::{client, ServeConfig, Server, ServerHandle};
-use std::collections::{BTreeSet, HashMap};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Directory, relative to the working directory, for the served daemon's
-/// throw-away result caches and the traced run's span dump.
+/// Directory, relative to the working directory, for throw-away result
+/// caches, shard peak readings and the traced run's span dump.
 pub const SCRATCH_DIR: &str = ".perfbench";
-
-/// Fresh served grids whose cells the traced run replays layer by layer.
-pub const LAYER_JOBS: usize = 6;
 
 /// One of the benchmark's workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,18 +23,15 @@ pub enum Workload {
     LplDeep,
     /// Six cells of a thousand path-loss nodes, in process, no cache.
     WidePathLoss,
-    /// Small mixed jobs against an in-process daemon with a fresh cache.
-    ServedSmallJobs,
     /// Short cells through spawned shard processes, no cache.
     ShardedSweep,
 }
 
 impl Workload {
     /// Every workload, in `BENCHMARK.json` order.
-    pub const ALL: [Workload; 4] = [
+    pub const ALL: [Workload; 3] = [
         Workload::LplDeep,
         Workload::WidePathLoss,
-        Workload::ServedSmallJobs,
         Workload::ShardedSweep,
     ];
 
@@ -48,7 +40,6 @@ impl Workload {
         match self {
             Workload::LplDeep => "lpl_deep",
             Workload::WidePathLoss => "wide_path_loss",
-            Workload::ServedSmallJobs => "served_small_jobs",
             Workload::ShardedSweep => "sharded_sweep",
         }
     }
@@ -58,19 +49,17 @@ impl Workload {
         Workload::ALL.into_iter().find(|w| w.name() == name)
     }
 
-    /// The workload's grid.  For the served workload, whose jobs are many
-    /// small grids, this is the cells of its first few fresh jobs.
+    /// The workload's grid.
     pub fn grid(self, seed: u64) -> String {
         match self {
             Workload::LplDeep => grids::lpl_deep(seed),
             Workload::WidePathLoss => grids::wide_path_loss(seed),
-            Workload::ServedSmallJobs => grids::served_jobs(seed, 0, LAYER_JOBS),
             Workload::ShardedSweep => grids::sharded_sweep(seed),
         }
     }
 }
 
-/// Worker threads, shard processes or client connections the load uses.
+/// Worker threads or shard processes the load uses.
 pub fn threads() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -117,31 +106,21 @@ impl Daemon {
 }
 
 /// What set-up leaves ready for the first scenario to be issued.
-pub enum Prepared {
-    /// An expanded grid for the in-process runner.
-    Local {
-        /// The grid's scenarios.
-        cells: Vec<Scenario>,
-    },
-    /// Grid text for the shard coordinator, plus its expansion.
-    Sharded {
-        /// The grid text shipped to every shard.
-        text: String,
-        /// The grid's scenarios.
-        cells: Vec<Scenario>,
-    },
-    /// A running daemon and the job plan its clients follow.
-    Served(Box<Served>),
+pub struct Prepared {
+    /// The grid text, which the sharded workload ships to every shard.
+    pub text: String,
+    /// Its scenarios, which the in-process workloads run.
+    pub cells: Vec<Scenario>,
 }
 
-/// The served workload's state across measurement windows.
-pub struct Served {
-    /// The daemon.
-    pub daemon: Daemon,
-    plan: Mutex<JobPlan>,
-    issued: AtomicUsize,
-    references: HashMap<usize, Reference>,
-}
+/// Least wall time of one batch of back-to-back set-ups.  One set-up takes
+/// tens of microseconds, so a batch averages timer noise away.
+const SETUP_BATCH: Duration = Duration::from_millis(10);
+
+/// Untimed set-ups that lead into each batch, so that the timed ones do not
+/// start on a core the pass before left idle (a sharded pass mostly waits
+/// on its shards).
+const SETUP_LEAD_IN: Duration = Duration::from_millis(2);
 
 /// One set-up, timed: the whole of it, and its parse-and-expand part.
 pub struct Setup {
@@ -153,39 +132,93 @@ pub struct Setup {
     pub expand: Duration,
 }
 
-/// Sets the workload up from its seed: generate the grid text, parse and
-/// expand it, and for the served workload bind and start the daemon.
+/// Sets the workload up from its seed: generate the grid text, then parse
+/// and expand it.
 pub fn setup(workload: Workload, seed: u64) -> Result<Setup, String> {
     let started = Instant::now();
-    let text = match workload {
-        Workload::ServedSmallJobs => grids::served_job(seed, 0),
-        _ => workload.grid(seed),
-    };
+    let text = workload.grid(seed);
     let expand_started = Instant::now();
     let cells = expand(&text)?;
     let expand = expand_started.elapsed();
-    let prepared = match workload {
-        Workload::LplDeep | Workload::WidePathLoss => Prepared::Local { cells },
-        Workload::ShardedSweep => Prepared::Sharded { text, cells },
-        Workload::ServedSmallJobs => Prepared::Served(Box::new(Served {
-            daemon: Daemon::start(threads())?,
-            plan: Mutex::new(JobPlan::new(seed, threads())),
-            issued: AtomicUsize::new(0),
-            references: HashMap::new(),
-        })),
-    };
     Ok(Setup {
-        prepared,
+        prepared: Prepared { text, cells },
         total: started.elapsed(),
         expand,
     })
 }
 
-impl Prepared {
-    /// Releases what set-up started (the served daemon and its cache).
-    pub fn release(self) {
-        if let Prepared::Served(served) = self {
-            served.daemon.stop();
+/// Per-set-up means of timed batches of back-to-back set-ups, seconds.
+#[derive(Debug, Default)]
+pub struct SetupTimes {
+    /// From workload start until the first scenario can be issued.
+    pub totals: Vec<f64>,
+    /// Grid parse and expand alone.
+    pub expands: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// Times one batch of back-to-back set-ups that runs for at least
+    /// `SETUP_BATCH` after `SETUP_LEAD_IN`.  Dropping a set-up's result is
+    /// outside its time.
+    fn batch(&mut self, workload: Workload, seed: u64) -> Result<(), String> {
+        let lead_in = Instant::now();
+        while lead_in.elapsed() < SETUP_LEAD_IN {
+            setup(workload, seed)?;
+        }
+        let started = Instant::now();
+        let (mut total, mut expand, mut count) = (Duration::ZERO, Duration::ZERO, 0u32);
+        while count == 0 || started.elapsed() < SETUP_BATCH {
+            let setup = setup(workload, seed)?;
+            total += setup.total;
+            expand += setup.expand;
+            count += 1;
+        }
+        self.totals.push(total.as_secs_f64() / f64::from(count));
+        self.expands.push(expand.as_secs_f64() / f64::from(count));
+        Ok(())
+    }
+}
+
+/// A workload ready to measure.
+pub struct Ready {
+    /// The workload.
+    pub workload: Workload,
+    /// Its seed.
+    pub seed: u64,
+    /// The set-up the measurement uses, warmed up by one unmeasured pass.
+    pub prepared: Prepared,
+    /// The grid's reference.
+    pub reference: Reference,
+}
+
+/// Computes the grid's reference, sets up, and runs one unmeasured
+/// warm-up pass.
+pub fn ready(workload: Workload, seed: u64) -> Result<Ready, String> {
+    let reference = Reference::compute(expand(&workload.grid(seed))?);
+    let ready = Ready {
+        workload,
+        seed,
+        prepared: setup(workload, seed)?.prepared,
+        reference,
+    };
+    if !ready.pass(&mut Vec::new())?.ok {
+        return Err("the warm-up pass did not match its reference".to_string());
+    }
+    Ok(ready)
+}
+
+impl Ready {
+    /// One pass of the workload, checked against the reference; sharded
+    /// passes push the gaps between merged scenarios onto `gaps`.
+    pub fn pass(&self, gaps: &mut Vec<f64>) -> Result<Pass, String> {
+        let threads = threads();
+        match self.workload {
+            Workload::LplDeep | Workload::WidePathLoss => {
+                Ok(local_pass(&self.prepared.cells, threads, &self.reference))
+            }
+            Workload::ShardedSweep => {
+                sharded_pass(&self.prepared.text, threads, &self.reference, gaps)
+            }
         }
     }
 }
@@ -205,6 +238,9 @@ pub struct Pass {
     pub bytes: usize,
     /// Scenarios the pass covered.
     pub scenarios: usize,
+    /// Sum of the shard processes' peak resident set sizes, MiB (0 for
+    /// passes that spawn none).
+    pub shard_rss_mb: f64,
     /// Whether its output matched the reference.
     pub ok: bool,
 }
@@ -212,12 +248,15 @@ pub struct Pass {
 /// Everything one measurement window observed.
 #[derive(Debug, Default)]
 pub struct Window {
-    /// Every pass, in completion order per client.
+    /// Every pass, in completion order.
     pub passes: Vec<Pass>,
-    /// Length of the window.
+    /// Wall time of the passes.
     pub elapsed: Duration,
-    /// CPU time of this process and its waited-for children over it.
-    pub cpu: Duration,
+    /// CPU time of this process and its waited-for children over each
+    /// pass.
+    pub cpus: Vec<Duration>,
+    /// One set-up batch after every pass, outside `elapsed` and `cpus`.
+    pub setups: SetupTimes,
 }
 
 impl Window {
@@ -238,6 +277,25 @@ impl Window {
     /// Scenarios completed per second of window.
     pub fn scenarios_per_s(&self) -> f64 {
         self.scenarios() as f64 / self.elapsed.as_secs_f64()
+    }
+
+    /// The median over passes of their CPU time per scenario, ms.
+    pub fn cpu_ms_per_scenario(&self) -> f64 {
+        let per_pass: Vec<f64> = self
+            .passes
+            .iter()
+            .zip(&self.cpus)
+            .map(|(p, cpu)| cpu.as_secs_f64() * 1e3 / p.scenarios.max(1) as f64)
+            .collect();
+        crate::stats::median(&per_pass)
+    }
+
+    /// The largest summed shard peak of any pass, MiB.
+    pub fn shard_rss_mb(&self) -> f64 {
+        self.passes
+            .iter()
+            .map(|p| p.shard_rss_mb)
+            .fold(0.0, f64::max)
     }
 }
 
@@ -275,6 +333,7 @@ impl Progress {
             events: self.events,
             bytes,
             scenarios,
+            shard_rss_mb: 0.0,
             ok,
         }
     }
@@ -320,11 +379,50 @@ pub fn sharded_pass(
     )
     .map_err(|e| format!("sharded sweep failed: {e}"))?;
     let ok = reference.matches(&report);
-    Ok(progress.pass(reference.scenarios, 0, ok))
+    Ok(Pass {
+        shard_rss_mb: take_shard_peaks(),
+        ..progress.pass(reference.scenarios, 0, ok)
+    })
+}
+
+/// Where the shards of coordinator process `coordinator` leave their peak
+/// resident set sizes, one file per shard.
+fn shard_peak_dir(coordinator: u32) -> PathBuf {
+    PathBuf::from(SCRATCH_DIR).join(format!("shard-rss-{coordinator}"))
+}
+
+/// Records this shard process's peak resident set size for its
+/// coordinator (the parent process) to read once the pass is over.
+pub fn record_shard_peak() -> Result<(), String> {
+    let dir = shard_peak_dir(std::os::unix::process::parent_id());
+    std::fs::create_dir_all(&dir)
+        .and_then(|()| {
+            std::fs::write(
+                dir.join(std::process::id().to_string()),
+                sys::peak_rss_mb().to_string(),
+            )
+        })
+        .map_err(|e| format!("recording the shard peak under {}: {e}", dir.display()))
+}
+
+/// Sums and removes the peaks the shards of the pass just finished left
+/// behind, MiB.  `run_sweep_spawned` waits for every shard to exit, so each
+/// has written its file by now.
+fn take_shard_peaks() -> f64 {
+    let dir = shard_peak_dir(std::process::id());
+    let total = std::fs::read_dir(&dir)
+        .into_iter()
+        .flatten()
+        .filter_map(|entry| std::fs::read_to_string(entry.ok()?.path()).ok())
+        .filter_map(|text| text.trim().parse::<f64>().ok())
+        .sum();
+    let _ = std::fs::remove_dir_all(&dir);
+    total
 }
 
 /// One served job: submit and watch its progress.  Returns the pass,
 /// `ok` unless the job errored, with the final summary document to check.
+/// Only the traced run serves jobs, to measure the serve and cache layers.
 pub fn served_job(addr: &str, text: &str) -> (Pass, Option<String>) {
     let mut progress = Progress::new();
     let mut bytes = 0;
@@ -347,142 +445,19 @@ pub fn served_job(addr: &str, text: &str) -> (Pass, Option<String>) {
     }
 }
 
-/// One unmeasured pass (or served job), checked like the measured ones.
-pub fn warm_up(prepared: &mut Prepared, reference: Option<&Reference>) -> Result<(), String> {
-    let ok = match prepared {
-        Prepared::Local { cells } => {
-            let reference = reference.expect("local workloads have a reference");
-            local_pass(cells, threads(), reference).ok
-        }
-        Prepared::Sharded { text, .. } => {
-            let reference = reference.expect("the sharded workload has a reference");
-            sharded_pass(text, threads(), reference, &mut Vec::new())?.ok
-        }
-        Prepared::Served(served) => {
-            let job = served.issue(1, Duration::ZERO);
-            served.check(&job).iter().all(|p| p.ok)
-        }
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err("the warm-up pass did not match its reference".to_string())
-    }
-}
-
-/// Runs the workload's closed loop or pass loop for `seconds`.
-/// `reference` is the grid's reference (unused by the served workload,
-/// which checks each job after the window).
-pub fn run_window(
-    prepared: &mut Prepared,
-    reference: Option<&Reference>,
-    seconds: f64,
-) -> Result<Window, String> {
-    let threads = threads();
+/// Runs whole passes of the workload for `seconds`, timing a batch of
+/// set-ups after each.  Spread over the window, the set-up batches see the
+/// same host as the passes do.
+pub fn run_window(ready: &Ready, seconds: f64) -> Result<Window, String> {
     let budget = Duration::from_secs_f64(seconds);
     let mut window = Window::default();
-    let cpu = sys::cpu_time();
     let started = Instant::now();
-    match prepared {
-        Prepared::Local { cells } => {
-            let reference = reference.expect("local workloads have a reference");
-            while started.elapsed() < budget {
-                window.passes.push(local_pass(cells, threads, reference));
-            }
-        }
-        Prepared::Sharded { text, .. } => {
-            let reference = reference.expect("the sharded workload has a reference");
-            while started.elapsed() < budget {
-                window
-                    .passes
-                    .push(sharded_pass(text, threads, reference, &mut Vec::new())?);
-            }
-        }
-        Prepared::Served(served) => {
-            let jobs = served.issue(threads, budget);
-            window.elapsed = started.elapsed();
-            window.cpu = sys::cpu_time() - cpu;
-            window.passes = served.check(&jobs);
-            return Ok(window);
-        }
+    while started.elapsed() < budget {
+        let (cpu, wall) = (sys::cpu_time(), Instant::now());
+        window.passes.push(ready.pass(&mut Vec::new())?);
+        window.elapsed += wall.elapsed();
+        window.cpus.push(sys::cpu_time() - cpu);
+        window.setups.batch(ready.workload, ready.seed)?;
     }
-    window.elapsed = started.elapsed();
-    window.cpu = sys::cpu_time() - cpu;
     Ok(window)
-}
-
-impl Served {
-    /// Issues planned jobs from `clients` closed-loop connections until
-    /// `budget` has passed (at least one job per client).  Returns each
-    /// job's fresh-grid number with its unchecked pass.
-    pub fn issue(&self, clients: usize, budget: Duration) -> Vec<(usize, Pass, Option<String>)> {
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..clients)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut done = Vec::new();
-                        loop {
-                            let k = self.issued.fetch_add(1, Ordering::Relaxed);
-                            let text = {
-                                let mut plan = self.plan.lock().expect("job plan poisoned");
-                                let id = plan.job(k);
-                                (id, plan.text(id))
-                            };
-                            let (pass, summary) = served_job(&self.daemon.addr, &text.1);
-                            done.push((text.0, pass, summary));
-                            if started.elapsed() >= budget {
-                                return done;
-                            }
-                        }
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("client thread panicked"))
-                .collect()
-        })
-    }
-
-    /// Checks issued jobs against per-grid references, computed here —
-    /// after the window, outside all timing — for grids not seen before.
-    /// Each reference runs on the sequential runner; distinct grids are
-    /// spread over `threads()` threads.
-    pub fn check(&mut self, jobs: &[(usize, Pass, Option<String>)]) -> Vec<Pass> {
-        let unseen: Vec<(usize, String)> = {
-            let plan = self.plan.lock().expect("job plan poisoned");
-            let ids: BTreeSet<usize> = jobs
-                .iter()
-                .map(|job| job.0)
-                .filter(|id| !self.references.contains_key(id))
-                .collect();
-            ids.into_iter().map(|id| (id, plan.text(id))).collect()
-        };
-        let next = AtomicUsize::new(0);
-        let computed: Vec<(usize, Reference)> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads())
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out = Vec::new();
-                        while let Some((id, text)) =
-                            unseen.get(next.fetch_add(1, Ordering::Relaxed))
-                        {
-                            let cells = expand(text).expect("planned grids expand");
-                            out.push((*id, Reference::compute(cells)));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("reference thread panicked"))
-                .collect()
-        });
-        self.references.extend(computed);
-        jobs.iter()
-            .map(|(id, pass, summary)| self.references[id].check_served(pass, summary.as_deref()))
-            .collect()
-    }
 }
