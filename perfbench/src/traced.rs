@@ -25,7 +25,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 /// Repetitions of each traced step; the reported value is their median.
-const REPS: usize = 5;
+const REPS: usize = 7;
 
 /// Share of single-worker wall the layer self times must account for.
 pub const RECONCILE_MIN: f64 = 0.90;
@@ -356,25 +356,50 @@ pub fn run(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, Strin
     let reference = ready.reference;
     let (text, cells) = (&ready.prepared.text, &ready.prepared.cells);
 
-    // Tracing overhead: the workload's own loop, untraced then traced.
-    let quarter = seconds / 4.0;
-    let untraced = workloads::run_window(&ready, quarter)?;
+    // Tracing overhead: the workload's own loop, untraced and traced in
+    // the order U T T U, so that a host whose speed drifts through the
+    // four slices weighs on both sides alike.
+    let mut untraced = Vec::new();
+    let mut traced = Vec::new();
+    for enabled in [false, true, true, false] {
+        quanto_obs::set_enabled(enabled);
+        let window = workloads::run_window(&ready, seconds / 8.0)?;
+        tally.passes(&window.passes);
+        if enabled { &mut traced } else { &mut untraced }.push(window);
+    }
     quanto_obs::set_enabled(true);
-    let traced = workloads::run_window(&ready, quarter)?;
-    tally.passes(&untraced.passes);
-    tally.passes(&traced.passes);
-    let tracing_overhead = uncovered_frac(traced.scenarios_per_s(), untraced.scenarios_per_s());
+    let tracing_overhead = uncovered_frac(
+        workloads::scenarios_per_s(&traced),
+        workloads::scenarios_per_s(&untraced),
+    );
+    let expands: Vec<f64> = untraced
+        .iter()
+        .flat_map(|w| w.setups.expands.iter().copied())
+        .collect();
     quanto_obs::harvest();
 
-    // Layer replay on one worker, each followed by the single-worker sweep
-    // its self times must reconcile with.
+    // Layer replay on one worker, each next to the single-worker sweep its
+    // self times must reconcile with.
     let mut tracer = Tracer::new();
     let mut times = Vec::with_capacity(REPS);
     let mut counts = None;
     let mut cache_us = (Vec::new(), Vec::new());
     let mut single_walls = Vec::new();
     let mut merges = Vec::new();
+    let mut single_pass = |tally: &mut Tally| {
+        quanto_obs::harvest();
+        let pass = workloads::local_pass(cells, 1, &reference);
+        tally.passes(&[pass]);
+        single_walls.push(pass.wall.as_secs_f64());
+        merges.push(span_us(&quanto_obs::harvest(), "merge") as f64 / 1e6);
+    };
     for rep in 0..REPS {
+        // Alternate which of the two goes first, so that a host whose speed
+        // drifts through the loop does not bias every comparison one way.
+        let single_first = rep % 2 == 1;
+        if single_first {
+            single_pass(&mut tally);
+        }
         let trips = (rep == 0).then_some(&mut cache_us);
         let (c, ok) = replay_pass(cells, rep, &mut tracer, &reference, trips)?;
         let ids = rep_ids(rep);
@@ -387,11 +412,9 @@ pub fn run(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, Strin
         let consistent = counts.is_none_or(|first| first == c);
         counts.get_or_insert(c);
         tally.add(cells.len(), ok && consistent);
-        quanto_obs::harvest();
-        let pass = workloads::local_pass(cells, 1, &reference);
-        tally.passes(&[pass]);
-        single_walls.push(pass.wall.as_secs_f64());
-        merges.push(span_us(&quanto_obs::harvest(), "merge") as f64 / 1e6);
+        if !single_first {
+            single_pass(&mut tally);
+        }
     }
     let counts = counts.expect("at least one replay");
 
@@ -457,7 +480,7 @@ pub fn run(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, Strin
     let runner = median(&merges);
     let single = median(&single_walls);
     // Per repetition: the replay's layers (which sum to its streaming
-    // executions) plus the runner's merge, against the sweep that followed.
+    // executions) plus the runner's merge, against its single-worker sweep.
     let unattributed = median(
         &(0..REPS)
             .map(|r| uncovered_frac(times[r].execute + merges[r], single_walls[r]))
@@ -508,11 +531,7 @@ pub fn run(workload: Workload, seed: u64, seconds: f64) -> Result<Outcome, Strin
     let misses = text_counter(&metrics_text, "cache.misses");
 
     let mut m = Metrics::default();
-    m.push(
-        "fleet.grid.expand_ms",
-        median(&untraced.setups.expands) * 1e3,
-        "ms",
-    );
+    m.push("fleet.grid.expand_ms", median(&expands) * 1e3, "ms");
     m.push("fleet.build_ms", build * 1e3, "ms");
     m.push("fleet.build_us_per_node", per(build * 1e6, c.nodes), "us");
     m.push("os_sim.run_ms", run * 1e3, "ms");

@@ -276,7 +276,7 @@ impl Window {
 
     /// Scenarios completed per second of window.
     pub fn scenarios_per_s(&self) -> f64 {
-        self.scenarios() as f64 / self.elapsed.as_secs_f64()
+        scenarios_per_s(std::slice::from_ref(self))
     }
 
     /// The median over passes of their CPU time per scenario, ms.
@@ -297,6 +297,13 @@ impl Window {
             .map(|p| p.shard_rss_mb)
             .fold(0.0, f64::max)
     }
+}
+
+/// Scenarios completed per second of pass time over several windows.
+pub fn scenarios_per_s(windows: &[Window]) -> f64 {
+    let scenarios: u64 = windows.iter().map(Window::scenarios).sum();
+    let elapsed: Duration = windows.iter().map(|w| w.elapsed).sum();
+    scenarios as f64 / elapsed.as_secs_f64()
 }
 
 /// Times progress events of one pass from its start.
