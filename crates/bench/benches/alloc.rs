@@ -67,7 +67,7 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     });
     // Fresh: a cold workspace per run — every allocation rebuilt.
     group.bench_function("workspace_fresh", |b| {
-        b.iter(|| ScenarioResult::execute_streaming(0, scenario()));
+        b.iter(|| ScenarioResult::execute_streaming_in(0, scenario(), &mut SimWorkspace::new()));
     });
     group.finish();
 }

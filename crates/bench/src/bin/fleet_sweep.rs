@@ -87,10 +87,8 @@
 //! must not park on the reorder-window backpressure gate when in window —
 //! `--obs` attributes any stall via the `runner.backpressure_stalls` and
 //! `runner.merge_wakeups` counters), and finally runs the retention
-//! gates: a 64-scenario batch
-//! must hold *zero* raw entries on the default streaming path, and must
-//! stay under a quarter of its entries on the materializing batch-digest
-//! path (the reorder-window bound).
+//! gate: a 64-scenario batch must hold *zero* raw entries on the default
+//! streaming path.
 //!
 //! Note on the baseline: the `fleet/sweep_smoke_t4` wall-clock depends on
 //! the recording host's core count, which the single-core `calibration/spin`
@@ -393,12 +391,9 @@ fn run_shards_timed(
     Ok((report.digest(), report.wall_clock))
 }
 
-/// The streaming-retention gates.  The default zero-materialization path
+/// The streaming-retention gate.  The default zero-materialization path
 /// must hold *no* raw entries at any instant — any nonzero peak means
-/// something re-materialized a log.  The batch-digest path (kept for the
-/// pinned pre-refactor digest) must stay bounded by the reorder window: a
-/// quarter of the batch is generous next to the real window of ~4
-/// scenarios, but far below what a re-buffering regression would retain.
+/// something re-materialized a log.
 fn smoke_retention_gate() -> Result<(), String> {
     let seeds: Vec<u64> = (1..=32).collect();
     let batch = scenarios::lpl_grid(
@@ -408,7 +403,7 @@ fn smoke_retention_gate() -> Result<(), String> {
         hw_model::SimDuration::from_secs(60),
     );
     assert_eq!(batch.len(), 64);
-    let streamed = FleetRunner::new(4).run(batch.clone());
+    let streamed = FleetRunner::new(4).run(batch);
     let total = streamed.total_log_entries();
     println!(
         "Retention (stream): 64-scenario batch produced {total} entries, peak held {}",
@@ -426,20 +421,6 @@ fn smoke_retention_gate() -> Result<(), String> {
     }
     if streamed.results.iter().any(|r| r.has_raw()) {
         return Err("raw NodeRunOutput retained on the streaming path".into());
-    }
-    let batched = FleetRunner::new(4).batch_digest().run(batch);
-    let peak = batched.peak_entries_held();
-    let bound = batched.total_log_entries() / 4;
-    println!(
-        "Retention (batch-digest): peak held {peak} of {} ({:.1} %)",
-        batched.total_log_entries(),
-        100.0 * peak as f64 / batched.total_log_entries().max(1) as f64
-    );
-    if peak == 0 || peak > bound {
-        return Err(format!(
-            "batch-digest peak {peak} outside (0, {bound}] — the reorder-window bound \
-             no longer holds"
-        ));
     }
     Ok(())
 }

@@ -43,4 +43,4 @@ pub use power_state::{PowerStateTable, PowerStateTrack, PowerStateValue};
 pub use runtime::{
     AccountingMode, OnlineCounters, QuantoRuntime, RuntimeConfig, Stamp, TrackListener,
 };
-pub use sink::{CountingSink, LogSink, StreamDigest, VecSink};
+pub use sink::{CountingSink, Fnv, LogSink, StreamDigest, VecSink};

@@ -60,6 +60,48 @@ impl LogSink for VecSink {
     }
 }
 
+/// The 64-bit FNV-1a hash behind every simulation digest: [`StreamDigest`]
+/// folds entry bytes through it, and the fleet folds its report digest and
+/// scenario spec digests (the result cache's content addresses) through it
+/// too.  FNV-1a folds byte by byte, so writing a concatenation hashes
+/// identically to writing its pieces.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv(u64);
+
+impl Fnv {
+    /// FNV-1a 64-bit offset basis.
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    /// FNV-1a 64-bit prime.
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+
+    /// A fresh hash (nothing folded).
+    pub fn new() -> Self {
+        Fnv(Self::OFFSET)
+    }
+
+    /// Folds `bytes`, in order.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        let mut hash = self.0;
+        for &b in bytes {
+            hash ^= b as u64;
+            hash = hash.wrapping_mul(Self::PRIME);
+        }
+        self.0 = hash;
+    }
+
+    /// The hash of every byte folded so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
 /// A sink that folds every entry's encoded bytes into a running FNV-1a
 /// digest without retaining anything — the zero-materialization witness that
 /// a stream of entries is byte-identical to another (two streams with equal
@@ -72,17 +114,12 @@ impl LogSink for VecSink {
 /// fleets need since v1 cannot represent their entries.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamDigest {
-    hash: u64,
+    hash: Fnv,
     entries: u64,
     encoding: LogEncoding,
 }
 
 impl StreamDigest {
-    /// FNV-1a 64-bit offset basis.
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    /// FNV-1a 64-bit prime.
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-
     /// A fresh digest (no entries folded) over v1 entry bytes.
     pub fn new() -> Self {
         StreamDigest::with_encoding(LogEncoding::V1)
@@ -91,7 +128,7 @@ impl StreamDigest {
     /// A fresh digest folding the given wire format's bytes.
     pub fn with_encoding(encoding: LogEncoding) -> Self {
         StreamDigest {
-            hash: Self::OFFSET,
+            hash: Fnv::new(),
             entries: 0,
             encoding,
         }
@@ -104,13 +141,9 @@ impl StreamDigest {
 
     /// Folds one entry's encoded bytes.
     pub fn fold(&mut self, entry: &LogEntry) {
-        let mut push = |b: u8| {
-            self.hash ^= b as u64;
-            self.hash = self.hash.wrapping_mul(Self::PRIME);
-        };
         match self.encoding {
-            LogEncoding::V1 => entry.encode().into_iter().for_each(&mut push),
-            LogEncoding::V2 => entry.encode_v2().into_iter().for_each(&mut push),
+            LogEncoding::V1 => self.hash.write(&entry.encode()),
+            LogEncoding::V2 => self.hash.write(&entry.encode_v2()),
         }
         self.entries += 1;
     }
@@ -126,18 +159,13 @@ impl StreamDigest {
         for entry in chunk {
             self.encoding.encode_entry(entry, scratch);
         }
-        let mut hash = self.hash;
-        for &b in scratch.iter() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(Self::PRIME);
-        }
-        self.hash = hash;
+        self.hash.write(scratch);
         self.entries += chunk.len() as u64;
     }
 
     /// The digest over every entry folded so far.
     pub fn digest(&self) -> u64 {
-        self.hash
+        self.hash.finish()
     }
 
     /// How many entries were folded.
@@ -220,6 +248,20 @@ mod tests {
         sink.accept(&[entry(3)]);
         assert_eq!(sink.entries(), 4);
         assert_eq!(sink.chunks(), 2);
+    }
+
+    #[test]
+    fn fnv_matches_the_reference_vectors_and_is_split_invariant() {
+        let hash = |parts: &[&[u8]]| {
+            let mut h = Fnv::new();
+            parts.iter().for_each(|p| h.write(p));
+            h.finish()
+        };
+        // Published FNV-1a 64-bit test vectors.
+        assert_eq!(hash(&[]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(hash(&[b"a"]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(hash(&[b"foobar"]), 0x8594_4171_f739_67e8);
+        assert_eq!(hash(&[b"foo", b"", b"bar"]), hash(&[b"foobar"]));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! stale formats and hash collisions with earlier layouts.
 //!
 //! Only the zero-materialization retention mode ([`crate::Retention::Stream`])
-//! consults the cache: the batch modes exist to fold the legacy pinned
-//! digest from raw entry bytes, which no summary record can reproduce.
+//! consults the cache: a record holds no log, so a
+//! [`crate::Retention::Raw`] run never reads or writes it.
 //!
 //! # Example
 //!

@@ -35,8 +35,7 @@
 //! through the same `ReportAccumulator` the in-process
 //! runner uses, so [`crate::FleetReport::digest`] is byte-identical at any
 //! shard count × thread count.  Dist runs always use
-//! [`Retention::Stream`]; the legacy pinned digest (raw entry bytes) is
-//! not transportable.
+//! [`Retention::Stream`]: a record carries no raw log.
 //!
 //! **Fault tolerance.**  A handler that loses its connection mid-chunk
 //! pushes the chunk's unreturned indices back onto the *front* of the

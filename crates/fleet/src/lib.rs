@@ -13,16 +13,17 @@
 //!   a simple config file, that expands to a scenario batch;
 //! * [`FleetRunner`] — shards an arbitrary batch of scenarios across worker
 //!   threads (each worker drives its own independent `os_sim::Engine`),
-//!   streams completions through a merge loop that folds the digest(s), and
-//!   emits per-scenario [`FleetProgress`] events mid-sweep.  The default
-//!   [`Retention::Stream`] mode feeds every node's log through a
+//!   streams completions through a merge loop that folds the digest, and
+//!   emits per-scenario [`FleetProgress`] events mid-sweep.  Every scenario
+//!   runs on one path that feeds each node's log through a
 //!   [`quanto_core::LogSink`] → incremental-builder chain *during* the run,
-//!   so raw logs are never materialized (opt into [`Retention::Batch`] for
-//!   the legacy pinned digest, or [`FleetRunner::retain_raw`] for raw
-//!   re-analysis);
+//!   so by default ([`Retention::Stream`]) raw logs are never materialized;
+//!   [`FleetRunner::retain_raw`] adds a collecting tap for raw
+//!   re-analysis;
 //! * [`FleetReport`] — the merged, submission-ordered results, fed through
 //!   the `analysis` crate's *incremental* interval builders (duty cycle,
-//!   energy, regression) and digested for bit-reproducibility checks;
+//!   energy, regression) and folded into one stream digest for
+//!   bit-reproducibility checks;
 //! * [`scenarios`] — the paper's experiment grids expressed as scenario
 //!   batches, plus adapters back into the `quanto-apps` result types.
 //!
@@ -62,7 +63,7 @@ pub use report::{
     CounterAccessError, FleetReport, NodeStreamMeta, NodeSummary, RawAccessError,
     RawScenarioOutputs, ReportAccumulator, ScenarioResult,
 };
-pub use runner::{execute_or_cached, execute_or_cached_in, FleetProgress, FleetRunner, Retention};
+pub use runner::{execute_or_cached_in, FleetProgress, FleetRunner, Retention};
 pub use scenario::{
     AppSpec, GeometrySpec, MediumSpec, PathLossSpec, Scenario, TopologySpec, TraceSpec,
     SPEC_DIGEST_VERSION,

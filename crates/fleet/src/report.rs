@@ -1,34 +1,33 @@
 //! Per-scenario results and the merged fleet report.
 //!
-//! Since the in-run streaming refactor the default execution path is
-//! *zero-materialization*: every node gets a [`quanto_core::LogSink`] that
-//! drives the incremental analysis builders (`TimeUnwrapper` →
-//! `IntervalBuilder`, plus a `SegmentBuilder` over the CPU device) and a
-//! [`StreamDigest`] *while the simulation runs*, so a scenario's
-//! [`NodeRunOutput::log`] is never built at all.  What survives per node is
-//! O(1): the summary, the entry count and the FNV digest over the entry
-//! stream ([`NodeStreamMeta`]).
+//! Every scenario runs on one *zero-materialization* path
+//! ([`ScenarioResult::execute_streaming_in`]): each node gets a
+//! [`quanto_core::LogSink`] that drives the incremental analysis builders
+//! (`TimeUnwrapper` → `IntervalBuilder`, plus a `SegmentBuilder` over the
+//! CPU device) and a [`StreamDigest`] *while the simulation runs*.  What
+//! survives per node is O(1): the summary, the entry count and the FNV
+//! digest over the entry stream ([`NodeStreamMeta`]).
 //!
-//! Two digests exist because the legacy *pinned* digest folds each node's
-//! entry count **before** its entry bytes — and FNV-1a is not seekable, so
-//! that byte order cannot be reproduced from a stream whose length is only
-//! known at the end.  [`crate::FleetRunner`] retention modes pick the path:
+//! The [`crate::FleetRunner`] retention mode only decides what is kept
+//! besides:
 //!
-//! * [`crate::Retention::Stream`] (default) — sinks attached, logs never
-//!   materialized, [`FleetReport::digest`] only;
-//! * [`crate::Retention::Batch`] — logs materialized per scenario and
-//!   dropped at merge (the pre-refactor default path), which additionally
-//!   yields the pinned [`FleetReport::pinned_digest`];
-//! * [`crate::Retention::Raw`] — everything retained for re-analysis.
+//! * [`crate::Retention::Stream`] (default) — nothing; no
+//!   [`NodeRunOutput::log`] is ever built;
+//! * [`crate::Retention::Raw`] — the same run with a collecting tap on each
+//!   node's sink, whose entries become the node's [`NodeRunOutput::log`],
+//!   kept with the node's `ExperimentContext` for re-analysis (the figure
+//!   binaries).  The oscilloscope probe stays detached, so a raw output's
+//!   `trace` is empty.
 //!
-//! Both digests are folded in submission order during the merge, so each is
-//! identical at any thread count; the streamed entry digests are proven
-//! byte-identical to the materialized logs by the digest-pin tests.
+//! [`FleetReport::digest`] is the one determinism digest: it folds the
+//! per-node stream residues in submission order during the merge, so it is
+//! identical at any thread count and in either retention mode.
 
 use crate::cache::CacheStats;
 use crate::record::{CountersRecord, ScenarioRecord, StreamRecord, SummaryRecord};
 use crate::runner::Retention;
 use crate::scenario::Scenario;
+use crate::workspace::SimWorkspace;
 use analysis::{pct, PowerInterval, SegmentBuilder};
 use analysis::{regress, IntervalBuilder, ObservationPool, RegressionOptions, TextTable};
 use hw_model::catalog::radio_rx_state;
@@ -37,7 +36,7 @@ use net_sim::DeliveryCounters;
 use os_sim::drivers::RadioStats;
 use os_sim::NodeRunOutput;
 use quanto_apps::ExperimentContext;
-use quanto_core::{LogEncoding, LogEntry, LogSink, NodeId, Stamp, StreamDigest};
+use quanto_core::{Fnv, LogEncoding, LogEntry, LogSink, NodeId, Stamp, StreamDigest, VecSink};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -82,8 +81,7 @@ pub struct NodeSummary {
 pub struct NodeStreamMeta {
     /// Which node.
     pub node: NodeId,
-    /// Surviving entries that flowed through the node's sink (or sat in its
-    /// materialized log, on the batch paths).
+    /// Surviving entries that flowed through the node's sink.
     pub entries: u64,
     /// FNV-1a digest over the encoded bytes of every surviving entry, in
     /// log order (see [`quanto_core::StreamDigest`]).
@@ -101,8 +99,8 @@ pub struct NodeStreamMeta {
 /// Why a raw-output lookup on a [`ScenarioResult`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RawAccessError {
-    /// The runner summarized and dropped the raw outputs (the default).
-    /// Build the runner with [`crate::FleetRunner::retain_raw`] to keep them.
+    /// The scenario ran without keeping raw outputs (the default).  Build
+    /// the runner with [`crate::FleetRunner::retain_raw`] to keep them.
     NotRetained {
         /// The scenario whose raw outputs were requested.
         scenario: String,
@@ -123,7 +121,7 @@ impl fmt::Display for RawAccessError {
         match self {
             RawAccessError::NotRetained { scenario } => write!(
                 f,
-                "raw outputs of scenario {scenario:?} were summarized and dropped; \
+                "raw outputs of scenario {scenario:?} were not retained; \
                  build the runner with FleetRunner::retain_raw() to keep them"
             ),
             RawAccessError::UnknownNode {
@@ -163,8 +161,9 @@ impl fmt::Display for CounterAccessError {
 
 impl std::error::Error for CounterAccessError {}
 
-/// The raw per-node data of one executed scenario, kept only when the runner
-/// retains it.
+/// The raw per-node data of one executed scenario, kept only under
+/// [`Retention::Raw`].  Each output's `log` is what the node's collecting
+/// tap saw; its oscilloscope `trace` is empty (the probe is detached).
 #[derive(Debug)]
 pub struct RawScenarioOutputs {
     /// Raw per-node outputs, in node insertion order.
@@ -173,7 +172,7 @@ pub struct RawScenarioOutputs {
     pub contexts: Vec<(NodeId, ExperimentContext)>,
 }
 
-/// One executed scenario: the analysis summary, plus the raw outputs while
+/// One executed scenario: the analysis summary, plus the raw outputs when
 /// they are retained.
 #[derive(Debug)]
 pub struct ScenarioResult {
@@ -193,8 +192,7 @@ pub struct ScenarioResult {
     /// Per-node stream residues (entry counts, stream digests, end-of-run
     /// stamps and stats) — present in every retention mode.
     stream: Vec<NodeStreamMeta>,
-    /// Raw outputs; `None` on the zero-materialization path, and `None`
-    /// once the merge has summarized-and-dropped them on the batch path.
+    /// Raw outputs; `Some` only under [`Retention::Raw`].
     raw: Option<RawScenarioOutputs>,
     /// Whether this result was rebuilt from the result cache instead of
     /// simulated ([`ScenarioResult::from_record`]).
@@ -296,86 +294,37 @@ impl LiveNode {
 }
 
 impl ScenarioResult {
-    /// Builds, boots, runs and analyzes one scenario on the *materializing*
-    /// path: each node's full log is collected, summarized through the
-    /// incremental builders, and retained on the result (the merge decides
-    /// whether to keep or drop it).  This is the path that can fold the
-    /// pinned pre-refactor digest; the fleet default is
-    /// [`ScenarioResult::execute_streaming`].
-    pub fn execute(index: usize, scenario: Scenario) -> ScenarioResult {
-        let kind = scenario.app.kind();
-        let _scenario_span = quanto_obs::span_with("scenario", &scenario.name);
-        let build_span = quanto_obs::span_with("build", kind);
-        let mut net = scenario.build();
-        drop(build_span);
-        let run_span = quanto_obs::span_with("run", kind);
-        let end = SimTime::ZERO + scenario.duration;
-        net.run_until(end);
-        drop(run_span);
-        let _analyze_span = quanto_obs::span_with("analyze", kind);
-        let contexts: Vec<(NodeId, ExperimentContext)> = scenario
-            .node_ids()
-            .into_iter()
-            .map(|id| {
-                let kernel = net.node(id).expect("scenario node exists").kernel();
-                (id, ExperimentContext::from_kernel(kernel))
-            })
-            .collect();
-        let medium_counters = net.medium_counters();
-        let outputs = net.finish(end);
-        flush_obs_metrics(&net);
-        // Tear the simulation down while the analyze span is still open —
-        // the implicit end-of-function drop would land between spans and
-        // show up as unattributed busy time in the profile.
-        drop(net);
-        let encoding = scenario.log_encoding();
-        let mut summaries = Vec::with_capacity(outputs.len());
-        let mut stream = Vec::with_capacity(outputs.len());
-        for (id, out) in &outputs {
-            let (_, ctx) = contexts
-                .iter()
-                .find(|(cid, _)| cid == id)
-                .expect("context captured for every node");
-            summaries.push(summarize(*id, out, ctx));
-            stream.push(stream_meta_from_raw(*id, out, encoding));
-        }
-        let medium_kind = scenario.medium.kind();
-        ScenarioResult {
-            index,
-            scenario,
-            summaries,
-            medium_kind,
-            medium_counters,
-            stream,
-            raw: Some(RawScenarioOutputs { outputs, contexts }),
-            cache_hit: false,
-        }
-    }
-
     /// Builds, boots, runs and analyzes one scenario on the
     /// *zero-materialization* path: every node's logger streams its drains
     /// through a sink that drives the entry digest, the interval builder and
     /// the CPU segment builder during the run, the oscilloscope probe is
-    /// detached, and no [`NodeRunOutput::log`] is ever built.  Summaries are
-    /// bit-identical to [`ScenarioResult::execute`] (the builders are
-    /// chunking-independent); raw access is unavailable by construction.
-    pub fn execute_streaming(index: usize, scenario: Scenario) -> ScenarioResult {
-        let mut ws = crate::workspace::SimWorkspace::new();
-        ScenarioResult::execute_streaming_in(index, scenario, &mut ws)
-    }
-
-    /// [`ScenarioResult::execute_streaming`] through a pooled
-    /// [`crate::workspace::SimWorkspace`]: the simulation is built from the
-    /// workspace's recycled allocations (engine containers, per-node log
-    /// buffers, the spatial-index grid) and its per-node analysis slots are
+    /// detached, and no [`NodeRunOutput::log`] is ever built.
+    ///
+    /// The simulation is built from the pooled workspace's recycled
+    /// allocations (engine containers, per-node log buffers, the
+    /// spatial-index grid), and its per-node analysis slots are
     /// reset-and-reused instead of rebuilt.  Behaviour-identical to a fresh
-    /// execution — every reset seam restores boot state exactly, which the
+    /// workspace — every reset seam restores boot state exactly, which the
     /// digest pins prove — so the only observable difference is allocator
-    /// traffic.
+    /// traffic.  Pass `&mut SimWorkspace::new()` for a one-off run.
     pub fn execute_streaming_in(
         index: usize,
         scenario: Scenario,
-        ws: &mut crate::workspace::SimWorkspace,
+        ws: &mut SimWorkspace,
+    ) -> ScenarioResult {
+        ScenarioResult::simulate(index, scenario, Retention::Stream, ws)
+    }
+
+    /// The one function that simulates a scenario.  [`Retention::Raw`] is
+    /// the [`ScenarioResult::execute_streaming_in`] run plus a collecting
+    /// tap in each node's sink closure and each node's `ExperimentContext`,
+    /// captured before `finish`; the stream path's closures carry no tap, so
+    /// it pays nothing per entry for the option.
+    pub(crate) fn simulate(
+        index: usize,
+        scenario: Scenario,
+        retention: Retention,
+        ws: &mut SimWorkspace,
     ) -> ScenarioResult {
         let kind = scenario.app.kind();
         let _scenario_span = quanto_obs::span_with("scenario", &scenario.name);
@@ -385,6 +334,9 @@ impl ScenarioResult {
         let node_ids = scenario.node_ids();
         let encoding = scenario.log_encoding();
         let mut live: Vec<(NodeId, Rc<RefCell<LiveNode>>)> = Vec::with_capacity(node_ids.len());
+        // Raw retention's collecting taps, in node order (never allocated on
+        // the stream path).
+        let mut taps: Vec<Rc<RefCell<VecSink>>> = Vec::new();
         let mut reuses = 0u64;
         let mut rebuilds = 0u64;
         for id in node_ids {
@@ -414,11 +366,21 @@ impl ScenarioResult {
                     )))
                 }
             };
-            let tap = node.clone();
-            net.set_node_log_sink(
-                id,
-                Box::new(move |chunk: &[LogEntry]| tap.borrow_mut().accept(chunk)),
-            );
+            let live_node = node.clone();
+            let sink: Box<dyn LogSink> = match retention {
+                Retention::Stream => {
+                    Box::new(move |chunk: &[LogEntry]| live_node.borrow_mut().accept(chunk))
+                }
+                Retention::Raw => {
+                    let tap = Rc::new(RefCell::new(VecSink::new()));
+                    taps.push(tap.clone());
+                    Box::new(move |chunk: &[LogEntry]| {
+                        live_node.borrow_mut().accept(chunk);
+                        tap.borrow_mut().accept(chunk);
+                    })
+                }
+            };
+            net.set_node_log_sink(id, sink);
             live.push((id, node));
         }
         quanto_obs::counter_add("workspace.reuses", reuses);
@@ -429,14 +391,25 @@ impl ScenarioResult {
         net.run_until(end);
         drop(run_span);
         let _analyze_span = quanto_obs::span_with("analyze", kind);
+        let contexts: Vec<(NodeId, ExperimentContext)> = match retention {
+            Retention::Stream => Vec::new(),
+            Retention::Raw => live
+                .iter()
+                .map(|(id, _)| {
+                    let kernel = net.node(*id).expect("scenario node exists").kernel();
+                    (*id, ExperimentContext::from_kernel(kernel))
+                })
+                .collect(),
+        };
         let medium_counters = net.medium_counters();
         // `finish` drains each logger's tail through its sink; the outputs
         // come back with empty logs and tiny traces.
         let outputs = net.finish(end);
         flush_obs_metrics(&net);
         // Tear the simulation down (sinks included) while the analyze span
-        // is still open, for the same attribution reason as in `execute` —
-        // except the allocations land in the workspace instead of the
+        // is still open — the implicit end-of-function drop would land
+        // between spans and show up as unattributed busy time in the
+        // profile.  The allocations land in the workspace instead of the
         // allocator, ready for the next scenario.
         net.reset_into(&mut ws.net);
         quanto_obs::counter_add("alloc.log_buffers_pooled", ws.net.log_buffers() as u64);
@@ -484,6 +457,21 @@ impl ScenarioResult {
         for (_, node) in live {
             ws.slots.push(node);
         }
+        // The sinks died with the net, so each tap's log can move out.
+        let raw = match retention {
+            Retention::Stream => None,
+            Retention::Raw => Some(RawScenarioOutputs {
+                outputs: outputs
+                    .into_iter()
+                    .zip(taps)
+                    .map(|((id, mut out), tap)| {
+                        out.log = tap.take().into_entries();
+                        (id, out)
+                    })
+                    .collect(),
+                contexts,
+            }),
+        };
         let medium_kind = scenario.medium.kind();
         ScenarioResult {
             index,
@@ -492,33 +480,8 @@ impl ScenarioResult {
             medium_kind,
             medium_counters,
             stream,
-            raw: None,
+            raw,
             cache_hit: false,
-        }
-    }
-
-    /// Executes under the given retention mode:
-    /// [`Retention::Stream`] takes the zero-materialization path, the batch
-    /// modes materialize (the merge decides what survives).
-    pub fn execute_with(index: usize, scenario: Scenario, retention: Retention) -> ScenarioResult {
-        match retention {
-            Retention::Stream => ScenarioResult::execute_streaming(index, scenario),
-            Retention::Batch | Retention::Raw => ScenarioResult::execute(index, scenario),
-        }
-    }
-
-    /// [`ScenarioResult::execute_with`] through a pooled workspace: the
-    /// streaming path reuses the workspace's allocations, the batch paths
-    /// (which must materialize fresh logs anyway) are unchanged.
-    pub fn execute_with_in(
-        index: usize,
-        scenario: Scenario,
-        retention: Retention,
-        ws: &mut crate::workspace::SimWorkspace,
-    ) -> ScenarioResult {
-        match retention {
-            Retention::Stream => ScenarioResult::execute_streaming_in(index, scenario, ws),
-            Retention::Batch | Retention::Raw => ScenarioResult::execute(index, scenario),
         }
     }
 
@@ -704,26 +667,10 @@ impl ScenarioResult {
         self.raw.is_some()
     }
 
-    /// Raw log entries currently held by this result (zero on the
-    /// zero-materialization path — nothing was ever held).
-    pub(crate) fn log_entries_held(&self) -> u64 {
-        self.raw
-            .as_ref()
-            .map(|raw| raw.outputs.iter().map(|(_, o)| o.log.len() as u64).sum())
-            .unwrap_or(0)
-    }
-
-    /// Total surviving log entries this scenario produced, whether they were
-    /// materialized or streamed.
+    /// Total surviving log entries this scenario produced, whether or not
+    /// they were also collected.
     pub(crate) fn total_entries(&self) -> u64 {
         self.stream.iter().map(|m| m.entries).sum()
-    }
-
-    /// Releases the raw outputs, returning how many log entries that freed.
-    pub(crate) fn drop_raw(&mut self) -> u64 {
-        let held = self.log_entries_held();
-        self.raw = None;
-        held
     }
 
     /// The raw output of one node.
@@ -764,8 +711,8 @@ impl ScenarioResult {
             })
     }
 
-    /// The summary of one node, if it ran in this scenario.  Always
-    /// available — summaries survive the raw drop.
+    /// The summary of one node, if it ran in this scenario.  Available in
+    /// every retention mode.
     pub fn summary(&self, id: NodeId) -> Option<&NodeSummary> {
         self.summaries.iter().find(|s| s.node == id)
     }
@@ -784,7 +731,7 @@ impl ScenarioResult {
         let mut raw = self.raw.unwrap_or_else(|| {
             panic!(
                 "into_single_node_parts on scenario {name:?} whose raw outputs were \
-                 dropped; build the runner with FleetRunner::retain_raw()"
+                 not retained; build the runner with FleetRunner::retain_raw()"
             )
         });
         assert_eq!(
@@ -798,69 +745,11 @@ impl ScenarioResult {
         (id, output, context)
     }
 
-    /// Folds this result into an FNV-1a digest: every surviving log entry's
-    /// encoded bytes, the final stamps, drop counts and radio statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the raw outputs are gone — the merge folds every result
-    /// *before* dropping them.
-    pub(crate) fn fold_digest(&self, h: &mut Fnv) {
-        let raw = self
-            .raw
-            .as_ref()
-            .expect("digest is folded before raw outputs are dropped");
-        let encoding = self.scenario.log_encoding();
-        h.write(self.scenario.name.as_bytes());
-        h.write(&(self.index as u64).to_le_bytes());
-        // Whole-log chunked fold: encode every entry into one scratch buffer
-        // and hash it in a single pass.  FNV-1a folds byte by byte, so the
-        // concatenation hashes identically to the historical entry-at-a-time
-        // writes — the pinned digests prove it.
-        let mut bytes = Vec::new();
-        for (id, out) in &raw.outputs {
-            fold_node_id(h, *id);
-            h.write(&(out.log.len() as u64).to_le_bytes());
-            bytes.clear();
-            for entry in &out.log {
-                encoding.encode_entry(entry, &mut bytes);
-            }
-            h.write(&bytes);
-            h.write(&out.final_stamp.time.as_micros().to_le_bytes());
-            h.write(&out.final_stamp.icount.to_le_bytes());
-            h.write(&out.log_dropped.to_le_bytes());
-            h.write(&out.radio_stats.packets_sent.to_le_bytes());
-            h.write(&out.radio_stats.packets_received.to_le_bytes());
-            h.write(&out.radio_stats.false_wakeups.to_le_bytes());
-            h.write(
-                &out.ground_truth
-                    .total
-                    .as_micro_joules()
-                    .to_bits()
-                    .to_le_bytes(),
-            );
-        }
-        for s in &self.summaries {
-            h.write(&s.average_power.as_micro_watts().to_bits().to_le_bytes());
-            h.write(&s.total_energy.as_micro_joules().to_bits().to_le_bytes());
-            h.write(&s.radio_duty_cycle.to_bits().to_le_bytes());
-        }
-        // Only counter-tracking mediums fold their counts: the ideal medium
-        // contributes nothing, keeping pre-medium-subsystem digests pinned.
-        if let Some(c) = &self.medium_counters {
-            h.write(self.medium_kind.as_bytes());
-            h.write(&c.delivered.to_le_bytes());
-            h.write(&c.lost_out_of_range.to_le_bytes());
-            h.write(&c.lost_below_sensitivity.to_le_bytes());
-            h.write(&c.lost_captured.to_le_bytes());
-        }
-    }
-
-    /// Folds this result into the *stream* digest: the same shape as
-    /// [`ScenarioResult::fold_digest`], with each node's raw entry bytes
-    /// replaced by its `(count, entry digest)` residue — which is computable
-    /// without ever materializing the log, and catches any byte-level
-    /// divergence in the entry stream all the same.
+    /// Folds this result into the report digest: the scenario's name and
+    /// index, each node's `(count, entry digest)` residue — computable
+    /// without ever materializing the log, yet sensitive to any byte-level
+    /// divergence in the entry stream — its end-of-run stamp and stats, the
+    /// summaries' floats as bit patterns, and the medium's counters.
     pub(crate) fn fold_stream_digest(&self, h: &mut Fnv) {
         h.write(self.scenario.name.as_bytes());
         h.write(&(self.index as u64).to_le_bytes());
@@ -923,7 +812,7 @@ fn flush_obs_metrics(net: &net_sim::NetSim) {
 }
 
 /// Folds one node id into a digest.  Ids in the v1 range keep their
-/// historical single byte, so every pinned digest holds; wider ids write the
+/// historical single byte, so every digest pin holds; wider ids write the
 /// `0xFF` escape byte (never a plain id — v1 caps at 254) followed by the
 /// full little-endian id.
 fn fold_node_id(h: &mut Fnv, id: NodeId) {
@@ -934,32 +823,6 @@ fn fold_node_id(h: &mut Fnv, id: NodeId) {
         h.write(&id.as_u32().to_le_bytes());
     }
 }
-
-/// The stream residue of one node, recomputed from its materialized log —
-/// the batch-path equivalent of what the sink accumulates live.  Chunking
-/// independence of [`StreamDigest`] makes the two byte-comparable.
-fn stream_meta_from_raw(
-    node: NodeId,
-    out: &NodeRunOutput,
-    encoding: LogEncoding,
-) -> NodeStreamMeta {
-    let mut digest = StreamDigest::with_encoding(encoding);
-    digest.accept(&out.log);
-    NodeStreamMeta {
-        node,
-        entries: digest.entries(),
-        entry_digest: digest.digest(),
-        final_stamp: out.final_stamp,
-        log_dropped: out.log_dropped,
-        radio_stats: out.radio_stats,
-        ground_truth_total: out.ground_truth.total,
-    }
-}
-
-/// How many log entries the summarizer hands the interval builder at a time.
-/// Any value yields identical results (equivalence is property-tested); this
-/// one keeps the per-chunk working set around one RAM buffer's worth.
-const SUMMARY_CHUNK: usize = 1024;
 
 /// Streaming accumulators over completed power intervals: every functional
 /// the summary needs, folded interval-by-interval with *exactly* the
@@ -1031,51 +894,6 @@ impl IntervalStats {
     }
 }
 
-/// Runs the shared analysis pipeline over one node's raw outputs, streaming
-/// the log through the incremental builders chunk by chunk — the same
-/// per-chunk fold the live sink performs, so summaries are bit-identical
-/// across the materializing and streaming paths.
-fn summarize(node: NodeId, out: &NodeRunOutput, ctx: &ExperimentContext) -> NodeSummary {
-    let radio_rx = ctx.sinks.radio_rx;
-    let mut builder = IntervalBuilder::new(&ctx.catalog);
-    let mut stats = IntervalStats::new();
-    let mut segments = SegmentBuilder::new(ctx.cpu_dev, false);
-    let mut cpu_segments = 0u64;
-    for chunk in out.log.chunks(SUMMARY_CHUNK) {
-        builder.push_chunk(chunk);
-        for iv in builder.drain_completed() {
-            stats.absorb(&iv, radio_rx, ctx.energy_per_count);
-        }
-        segments.push_chunk(chunk);
-        cpu_segments += segments.drain_completed().count() as u64;
-    }
-    for iv in builder.finish(Some(out.final_stamp)) {
-        stats.absorb(&iv, radio_rx, ctx.energy_per_count);
-    }
-    segments.flush(Some(out.final_stamp));
-    cpu_segments += segments.drain_completed().count() as u64;
-    let regression_error = regress(
-        &stats.pool.observations(ctx.energy_per_count),
-        &ctx.catalog,
-        RegressionOptions::default(),
-    )
-    .ok()
-    .map(|r| r.relative_error);
-    NodeSummary {
-        node,
-        log_entries: out.log.len(),
-        log_dropped: out.log_dropped,
-        average_power: stats.average_power(ctx.energy_per_count),
-        total_energy: stats.energy,
-        radio_duty_cycle: stats.radio_duty_cycle(),
-        packets_sent: out.radio_stats.packets_sent,
-        packets_received: out.radio_stats.packets_received,
-        false_wakeups: out.radio_stats.false_wakeups,
-        regression_error,
-        cpu_segments,
-    }
-}
-
 /// The merged, deterministically-ordered outcome of a scenario batch.
 #[derive(Debug)]
 pub struct FleetReport {
@@ -1087,9 +905,6 @@ pub struct FleetReport {
     pub wall_clock: std::time::Duration,
     /// The stream digest, folded in submission order during the merge.
     digest: u64,
-    /// The legacy pinned digest (folds raw entry bytes), when the retention
-    /// mode materialized the logs.
-    pinned_digest: Option<u64>,
     /// Scenario name → index into `results`, built at merge time.
     by_name: HashMap<String, usize>,
     /// High-water mark of raw log entries held at once during the run.
@@ -1117,53 +932,20 @@ impl FleetReport {
     /// digests), stamps, summaries and medium counters — and nothing
     /// host-dependent (thread count and wall clock are excluded), so a batch
     /// run with 1 thread and with N threads must produce identical digests.
-    /// Available in every retention mode: the zero-materialization path
-    /// folds it from what the sinks saw, the batch paths from the
-    /// materialized logs, and byte-identical entry streams give identical
-    /// digests either way.
+    /// Identical in either retention mode: both fold what the sinks saw.
     pub fn digest(&self) -> u64 {
         self.digest
     }
 
-    /// The legacy *pinned* digest — the exact byte layout of the
-    /// pre-streaming batch pipeline, which folds each node's entry count
-    /// followed by its raw entry bytes.  Only computable when the retention
-    /// mode materialized the logs ([`Retention::Batch`] or
-    /// [`Retention::Raw`]); `None` on the zero-materialization path, whose
-    /// equivalence is instead proven through [`FleetReport::digest`] and the
-    /// per-node stream residues.
-    pub fn pinned_digest(&self) -> Option<u64> {
-        self.pinned_digest
-    }
-
-    /// Recomputes the pinned digest from the retained raw outputs; `None`
-    /// when any scenario's raw outputs were dropped.  Exists so tests can
-    /// prove the merge-time fold equals the whole-batch computation.
-    pub fn recompute_digest(&self) -> Option<u64> {
-        if self.results.iter().any(|r| !r.has_raw()) {
-            return None;
-        }
-        let mut h = Fnv::new();
-        h.write(&(self.results.len() as u64).to_le_bytes());
-        for r in &self.results {
-            r.fold_digest(&mut h);
-        }
-        Some(h.finish())
-    }
-
-    /// High-water mark of raw log entries held at once during the run:
-    /// completed-but-unmerged results plus merged results whose raw outputs
-    /// were retained.  On the default zero-materialization path this is
-    /// *zero* — no entry is ever held — which is exactly what the smoke
-    /// retention gate asserts.  [`Retention::Batch`] stays bounded by the
-    /// out-of-order completion window (≈ the thread count), and
-    /// [`Retention::Raw`] peaks at the whole batch.
+    /// High-water mark of raw log entries held at once during the run.  On
+    /// the default zero-materialization path this is *zero* — no entry is
+    /// ever held — which is exactly what the smoke retention gate asserts.
+    /// [`Retention::Raw`] releases nothing, so its peak is the whole batch.
     pub fn peak_entries_held(&self) -> u64 {
         self.peak_entries_held
     }
 
-    /// Total surviving log entries produced across the whole batch, whether
-    /// they streamed through sinks or were materialized.
+    /// Total surviving log entries produced across the whole batch.
     pub fn total_log_entries(&self) -> u64 {
         self.total_log_entries
     }
@@ -1239,10 +1021,9 @@ impl FleetReport {
             self.wall_clock.as_secs_f64() * 1e3
         ));
         out.push_str(&format!("\"digest\":\"{:#018x}\",", self.digest));
-        match self.pinned_digest {
-            Some(d) => out.push_str(&format!("\"pinned_digest\":\"{d:#018x}\",")),
-            None => out.push_str("\"pinned_digest\":null,"),
-        }
+        // Always null: the field stays only for byte-compatibility of the
+        // v1 document (docs/PROTOCOL.md §3) until the next protocol bump.
+        out.push_str("\"pinned_digest\":null,");
         out.push_str(&format!(
             "\"total_log_entries\":{},",
             self.total_log_entries
@@ -1357,9 +1138,8 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Accumulates merged results in submission order, folding the digest(s)
-/// and (in [`Retention::Batch`]) dropping raw outputs as each scenario
-/// lands.
+/// Accumulates merged results in submission order, folding the digest as
+/// each scenario lands.
 ///
 /// This is *the* determinism seam of the sweep subsystem: every execution
 /// topology — the in-process [`crate::FleetRunner`], the multi-process
@@ -1370,59 +1150,51 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// submission-index order (a reorder buffer is the caller's job) and close
 /// it with [`ReportAccumulator::finish`].
 pub struct ReportAccumulator {
-    retention: Retention,
-    /// The stream digest — folded in every mode.
     hasher: Fnv,
-    /// The legacy pinned digest — folded only when logs are materialized.
-    pinned: Option<Fnv>,
     results: Vec<ScenarioResult>,
     by_name: HashMap<String, usize>,
     total_log_entries: u64,
 }
 
 impl ReportAccumulator {
-    /// Starts a report over `expected` scenarios.
-    pub fn new(expected: usize, retention: Retention) -> Self {
+    /// Starts a report over `expected` scenarios.  The digest is the same
+    /// in either retention mode, so the retention argument changes
+    /// nothing; it stays so existing callers (perfbench among them) keep
+    /// compiling until [`Retention`] itself is retired.
+    pub fn new(expected: usize, _retention: Retention) -> Self {
         let mut hasher = Fnv::new();
         hasher.write(&(expected as u64).to_le_bytes());
-        let pinned = match retention {
-            Retention::Stream => None,
-            Retention::Batch | Retention::Raw => {
-                let mut h = Fnv::new();
-                h.write(&(expected as u64).to_le_bytes());
-                Some(h)
-            }
-        };
         ReportAccumulator {
-            retention,
             hasher,
-            pinned,
             results: Vec::with_capacity(expected),
             by_name: HashMap::with_capacity(expected),
             total_log_entries: 0,
         }
     }
 
-    /// Merges the next result in submission order.  Returns how many raw log
-    /// entries were released (zero when retaining or streaming).
-    pub fn absorb(&mut self, mut result: ScenarioResult) -> u64 {
+    /// Merges the next result in submission order.
+    pub fn absorb(&mut self, result: ScenarioResult) {
         debug_assert_eq!(result.index, self.results.len(), "merge order violated");
         result.fold_stream_digest(&mut self.hasher);
-        if let Some(pinned) = self.pinned.as_mut() {
-            result.fold_digest(pinned);
-        }
         self.total_log_entries += result.total_entries();
-        let released = match self.retention {
-            Retention::Stream | Retention::Raw => 0,
-            Retention::Batch => result.drop_raw(),
-        };
         // First submission wins on duplicate names, matching the linear
         // scan's find() semantics.
         self.by_name
             .entry(result.scenario.name.clone())
             .or_insert(self.results.len());
         self.results.push(result);
-        released
+    }
+
+    /// Raw log entries the merged results hold (zero unless they ran under
+    /// [`Retention::Raw`]).  Nothing is released at merge, so this is also
+    /// the run's high-water mark.
+    pub(crate) fn entries_held(&self) -> u64 {
+        self.results
+            .iter()
+            .filter_map(|r| r.raw.as_ref())
+            .flat_map(|raw| &raw.outputs)
+            .map(|(_, out)| out.log.len() as u64)
+            .sum()
     }
 
     /// Finalizes the report.  `threads` and `wall_clock` are display
@@ -1438,32 +1210,11 @@ impl ReportAccumulator {
             threads,
             wall_clock,
             digest: self.hasher.finish(),
-            pinned_digest: self.pinned.map(|h| h.finish()),
             by_name: self.by_name,
             peak_entries_held,
             total_log_entries: self.total_log_entries,
             cache: None,
         }
-    }
-}
-
-/// Minimal FNV-1a 64-bit hasher (no std `Hasher` ceremony needed).
-pub(crate) struct Fnv(u64);
-
-impl Fnv {
-    pub(crate) fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    pub(crate) fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -1476,15 +1227,25 @@ mod tests {
     };
     use hw_model::SimDuration;
 
-    /// The streaming summarizer must reproduce the batch pipeline bit for
-    /// bit — the digest folds these floats.
+    fn run(scenario: Scenario) -> ScenarioResult {
+        ScenarioResult::execute_streaming_in(0, scenario, &mut SimWorkspace::new())
+    }
+
+    fn run_raw(scenario: Scenario) -> ScenarioResult {
+        ScenarioResult::simulate(0, scenario, Retention::Raw, &mut SimWorkspace::new())
+    }
+
+    /// The streamed summaries must reproduce the batch `analysis` pipeline
+    /// over the collected log bit for bit — the digest folds these floats.
     #[test]
     fn streaming_summary_is_bit_identical_to_batch_pipeline() {
-        let result = ScenarioResult::execute(0, Scenario::lpl(17, 0.18, SimDuration::from_secs(4)));
-        let raw = result.raw().expect("execute retains raw");
+        let result = run_raw(Scenario::lpl(17, 0.18, SimDuration::from_secs(4)));
+        let raw = result.raw().expect("Raw retains the collected logs");
         for ((id, out), (_, ctx)) in raw.outputs.iter().zip(raw.contexts.iter()) {
             let streamed = result.summary(*id).expect("summary exists");
-            // The pre-refactor batch computation, verbatim.
+            assert!(!out.log.is_empty(), "the tap must collect the log");
+            assert_eq!(streamed.log_entries, out.log.len());
+            // The pre-streaming batch computation, verbatim.
             let intervals = power_intervals(&out.log, &ctx.catalog, Some(out.final_stamp));
             let avg = average_power(&intervals, ctx.energy_per_count);
             let total_energy = cumulative_energy_series(&intervals, ctx.energy_per_count)
@@ -1520,15 +1281,15 @@ mod tests {
 
     #[test]
     fn raw_access_errors_are_descriptive() {
-        let mut result = ScenarioResult::execute(0, Scenario::idle(SimDuration::from_secs(1)));
+        let result = run_raw(Scenario::idle(SimDuration::from_secs(1)));
         // Unknown node while raw is retained.
         let err = result.output(NodeId(99)).unwrap_err();
         assert!(matches!(err, RawAccessError::UnknownNode { .. }));
         assert!(err.to_string().contains("no node 99"), "{err}");
         assert!(result.output(NodeId(1)).is_ok());
         assert!(result.context(NodeId(1)).is_ok());
-        // After the drop, lookups explain how to retain.
-        result.drop_raw();
+        // Without retention, lookups explain how to retain.
+        let result = run(Scenario::idle(SimDuration::from_secs(1)));
         let err = result.output(NodeId(1)).unwrap_err();
         assert!(matches!(err, RawAccessError::NotRetained { .. }));
         assert!(err.to_string().contains("retain_raw"), "{err}");
@@ -1538,7 +1299,7 @@ mod tests {
 
     #[test]
     fn summary_json_is_well_formed_enough() {
-        let result = ScenarioResult::execute(0, Scenario::idle(SimDuration::from_secs(1)));
+        let result = run(Scenario::idle(SimDuration::from_secs(1)));
         let json = scenario_json(
             result.index,
             &result.scenario.name,
@@ -1567,7 +1328,7 @@ mod tests {
         use crate::scenario::MediumSpec;
         let d = SimDuration::from_secs(2);
         // The ideal medium tracks nothing: a descriptive error, not a panic.
-        let ideal = ScenarioResult::execute(0, Scenario::bounce(d));
+        let ideal = run(Scenario::bounce(d));
         assert!(!ideal.has_medium_counters());
         let err = ideal.medium_counters().unwrap_err();
         assert_eq!(err.medium, "ideal");
@@ -1575,13 +1336,10 @@ mod tests {
         assert!(msg.contains("does not track delivery counters"), "{msg}");
         assert!(msg.contains(&ideal.scenario.name), "{msg}");
         // A geometric medium answers.
-        let disk = ScenarioResult::execute(
-            0,
-            Scenario::bounce(d).with_medium(MediumSpec::UnitDisk {
-                range_m: 100.0,
-                positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
-            }),
-        );
+        let disk = run(Scenario::bounce(d).with_medium(MediumSpec::UnitDisk {
+            range_m: 100.0,
+            positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
+        }));
         let c = disk.medium_counters().expect("unit disk tracks counters");
         assert!(c.delivered > 0, "bounce packets must flow in range");
     }
@@ -1600,7 +1358,8 @@ mod tests {
                 positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
             }),
         ] {
-            let original = ScenarioResult::execute_streaming(3, scenario.clone());
+            let original =
+                ScenarioResult::execute_streaming_in(3, scenario.clone(), &mut SimWorkspace::new());
             let record = original.to_record();
             let rebuilt = ScenarioResult::from_record(3, scenario, &record, true)
                 .expect("own record matches own scenario");
@@ -1620,7 +1379,7 @@ mod tests {
     #[test]
     fn from_record_rejects_mismatched_scenarios() {
         let d = SimDuration::from_secs(1);
-        let idle = ScenarioResult::execute_streaming(0, Scenario::idle(d));
+        let idle = run(Scenario::idle(d));
         let record = idle.to_record();
         // Bounce runs nodes {1, 4}; an idle record has only node 1.
         assert!(ScenarioResult::from_record(0, Scenario::bounce(d), &record, true).is_none());

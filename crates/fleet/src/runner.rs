@@ -4,19 +4,16 @@
 //! [`os_sim::Engine`] from the plain-data [`Scenario`]), so the only shared
 //! state is the work queue — an atomic cursor over the batch — and an mpsc
 //! channel from the workers to the merge loop.  The merge loop reorders
-//! completions into submission order, folds the report digest(s) and emits
-//! a progress event per scenario.  What each worker *retains* is the
-//! [`Retention`] mode: the default [`Retention::Stream`] feeds the analysis
-//! through per-node log sinks during the run and never materializes a
-//! scenario's log at all; [`Retention::Batch`] materializes per scenario
-//! (which is what makes the legacy pinned digest computable) and drops at
-//! merge; [`Retention::Raw`] keeps everything.  A backpressure window keeps
-//! workers from racing more than ~2 × `threads` scenarios ahead of the
-//! merge watermark, so on the materializing paths the raw entries held at
-//! any instant are bounded by the window — not by the batch size, and not
-//! by scheduler-induced skew.  Submission-order merging together with
-//! fully-seeded scenarios makes a fleet run bit-reproducible at any thread
-//! count.
+//! completions into submission order, folds the report digest and emits a
+//! progress event per scenario.  Every worker feeds the analysis through
+//! per-node log sinks during the run; the [`Retention`] mode only decides
+//! whether a collecting tap also keeps each log ([`Retention::Raw`]) or
+//! nothing is kept at all (the default [`Retention::Stream`]).  A
+//! backpressure window keeps workers from racing more than ~2 × `threads`
+//! scenarios ahead of the merge watermark, so the reorder buffer is bounded
+//! by the window — not by the batch size, and not by scheduler-induced
+//! skew.  Submission-order merging together with fully-seeded scenarios
+//! makes a fleet run bit-reproducible at any thread count.
 
 use crate::cache::{CacheStats, ResultCache};
 use crate::report::{scenario_json, FleetReport, NodeSummary, ReportAccumulator, ScenarioResult};
@@ -102,28 +99,21 @@ impl FleetProgress {
     }
 }
 
-/// What a fleet run keeps of each scenario's raw data — the axis that
-/// decides both the memory profile and which digests are computable.
+/// What a fleet run keeps of each scenario's raw data.  Both modes run the
+/// same simulation and fold the same [`crate::FleetReport::digest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Retention {
     /// The zero-materialization default: every node's log streams through a
     /// sink that drives the incremental analysis and the entry digest
     /// *during* the run; no [`os_sim::NodeRunOutput::log`] is ever built,
-    /// and the peak raw-entry retention of a whole sweep is zero.  The
-    /// legacy pinned digest is unavailable (its byte layout needs each
-    /// node's entry count before the entry bytes, which a stream cannot
-    /// know); determinism checks use [`crate::FleetReport::digest`].
+    /// and the peak raw-entry retention of a whole sweep is zero.
     #[default]
     Stream,
-    /// Materialize each scenario's log, fold both digests at merge time in
-    /// submission order, then drop the raw outputs.  This is the
-    /// pre-refactor default path; peak retention is bounded by the
-    /// out-of-order completion window.  Use it when the pinned pre-refactor
-    /// digest must be reproduced byte-for-byte.
-    Batch,
-    /// Keep every scenario's raw outputs and analysis contexts in the
-    /// report, for consumers that re-analyze raw logs (the figure
-    /// binaries).  Costs memory proportional to the whole batch.
+    /// The same run with a collecting tap on every node's sink: each
+    /// scenario's raw outputs (collected logs, empty oscilloscope traces)
+    /// and analysis contexts stay in the report, for consumers that
+    /// re-analyze raw logs (the figure binaries).  Costs memory
+    /// proportional to the whole batch, and never touches the result cache.
     Raw,
 }
 
@@ -157,30 +147,13 @@ impl FleetRunner {
         )
     }
 
-    /// Selects what each scenario's execution retains (see [`Retention`]).
-    pub fn with_retention(mut self, retention: Retention) -> Self {
-        self.retention = retention;
-        self
-    }
-
     /// Keeps every scenario's raw [`os_sim::NodeRunOutput`]s in the report
-    /// instead of summarizing-and-dropping them.  Needed by consumers that
-    /// re-analyze raw logs (the figure binaries); costs memory proportional
-    /// to the whole batch.
-    pub fn retain_raw(self) -> Self {
-        self.with_retention(Retention::Raw)
-    }
-
-    /// Materializes each scenario's log and folds the legacy pinned digest
-    /// at merge before dropping the raw outputs — the pre-refactor default
-    /// path (see [`Retention::Batch`]).
-    pub fn batch_digest(self) -> Self {
-        self.with_retention(Retention::Batch)
-    }
-
-    /// Whether this runner keeps raw outputs.
-    pub fn retains_raw(&self) -> bool {
-        self.retention == Retention::Raw
+    /// (see [`Retention::Raw`]).  Needed by consumers that re-analyze raw
+    /// logs (the figure binaries); costs memory proportional to the whole
+    /// batch.
+    pub fn retain_raw(mut self) -> Self {
+        self.retention = Retention::Raw;
+        self
     }
 
     /// The configured retention mode.
@@ -236,35 +209,24 @@ impl FleetRunner {
     /// cache.  Every scenario whose canonical spec digest has a valid cache
     /// entry is rebuilt from disk instead of simulated (its progress event
     /// carries `cache_hit`); every freshly-simulated scenario is written
-    /// back.  The cache only engages under [`Retention::Stream`] — the
-    /// batch modes exist to fold the pinned digest from raw entry bytes,
-    /// which no cache record can reproduce — and the report is stamped with
-    /// this run's hit/miss/write deltas.
+    /// back.  The cache only engages under [`Retention::Stream`] — a record
+    /// holds no log, so [`Retention::Raw`] never reads or writes it — and
+    /// the report is stamped with this run's hit/miss/write deltas.
     pub fn run_with_progress_cached(
         &self,
         scenarios: Vec<Scenario>,
         cache: Option<&ResultCache>,
         mut progress: impl FnMut(FleetProgress),
     ) -> FleetReport {
-        let cache = match self.retention {
-            Retention::Stream => cache,
-            Retention::Batch | Retention::Raw => None,
-        };
         let stats_before = cache.map(ResultCache::stats);
         let started = Instant::now();
         let total = scenarios.len();
         let workers = self.threads.min(total.max(1));
         let retention = self.retention;
         let mut acc = ReportAccumulator::new(total, retention);
-        // Raw log entries currently held (completed results not yet merged,
-        // plus merged results whose raw outputs were retained) and its
-        // high-water mark — the number the smoke gate bounds.
-        let mut held: u64 = 0;
-        let mut peak: u64 = 0;
 
         let merge = |result: ScenarioResult,
                      acc: &mut ReportAccumulator,
-                     held: &mut u64,
                      progress: &mut dyn FnMut(FleetProgress)| {
             let completed = result.index + 1;
             let elapsed_ms = started.elapsed().as_millis() as u64;
@@ -283,7 +245,7 @@ impl FleetRunner {
                 shard: None,
                 cache_hit: result.cache_hit(),
             };
-            *held -= acc.absorb(result);
+            acc.absorb(result);
             progress(event);
         };
 
@@ -293,10 +255,8 @@ impl FleetRunner {
             let mut ws = SimWorkspace::new();
             for (i, s) in scenarios.into_iter().enumerate() {
                 let result = execute_or_cached_in(i, s, retention, cache, &mut ws);
-                held += result.log_entries_held();
-                peak = peak.max(held);
                 let _merge_span = quanto_obs::span("merge");
-                merge(result, &mut acc, &mut held, &mut progress);
+                merge(result, &mut acc, &mut progress);
             }
             drop(worker_span);
             quanto_obs::flush_thread();
@@ -306,7 +266,7 @@ impl FleetRunner {
             // watermark.  Without this, a preempted worker (common on
             // oversubscribed or single-CPU hosts) lets its peers race
             // arbitrarily far ahead, and the reorder buffer — which must
-            // hold raw outputs until the digest folds in submission order —
+            // hold results until the digest folds in submission order —
             // grows with the skew instead of the thread count.  The worker
             // owning the lowest unmerged index is never blocked (its index
             // equals the watermark), so the window cannot deadlock — and if
@@ -402,14 +362,12 @@ impl FleetRunner {
                 let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
                 let mut next = 0usize;
                 for result in rx {
-                    held += result.log_entries_held();
-                    peak = peak.max(held);
                     pending.insert(result.index, result);
                     quanto_obs::observe("runner.reorder_window_occupancy", pending.len() as u64);
                     let before = next;
                     let _merge_span = quanto_obs::span("merge");
                     while let Some(result) = pending.remove(&next) {
-                        merge(result, &mut acc, &mut held, &mut progress);
+                        merge(result, &mut acc, &mut progress);
                         next += 1;
                     }
                     if next != before {
@@ -436,7 +394,8 @@ impl FleetRunner {
                 );
             });
         }
-        let mut report = acc.finish(workers, started.elapsed(), peak);
+        let held = acc.entries_held();
+        let mut report = acc.finish(workers, started.elapsed(), held);
         if let (Some(cache), Some(before)) = (cache, stats_before) {
             let after = cache.stats();
             report.set_cache_stats(CacheStats {
@@ -450,33 +409,18 @@ impl FleetRunner {
 }
 
 /// One scenario through the cache fast path: a valid entry skips the
-/// simulation entirely; a miss simulates on the zero-materialization path
-/// and writes the entry back for next time.  With no cache (or a
-/// materializing retention, which the caller already stripped the cache
-/// for), this is plain [`ScenarioResult::execute_with`].
+/// simulation entirely; a miss simulates and writes the entry back for next
+/// time.  A record holds no log, so [`Retention::Raw`] never reads or writes
+/// the cache.  Pooled through `ws`: the simulation draws its allocations
+/// from (and returns them to) the workspace, so a worker looping over
+/// scenarios allocates like it ran one — pooling recycles capacity, never
+/// state.
 ///
 /// Public because it is the execution seam every sweep scheduler shares:
 /// the in-process runner's workers, the dist shards (via their own
 /// `FleetRunner`) and the `quanto-serve` daemon's pool all produce their
 /// per-scenario results through exactly this call, which is what makes
-/// their digests byte-identical.  A cache may only be supplied with
-/// [`Retention::Stream`] — no cache record can reproduce the raw entry
-/// bytes the batch digests fold.
-pub fn execute_or_cached(
-    index: usize,
-    scenario: Scenario,
-    retention: Retention,
-    cache: Option<&ResultCache>,
-) -> ScenarioResult {
-    let mut ws = SimWorkspace::new();
-    execute_or_cached_in(index, scenario, retention, cache, &mut ws)
-}
-
-/// [`execute_or_cached`] through a pooled [`SimWorkspace`]: the streaming
-/// simulation path draws its allocations from (and returns them to) the
-/// workspace, so a worker looping over scenarios allocates like it ran one.
-/// Results are byte-identical to [`execute_or_cached`] — pooling recycles
-/// capacity, never state.
+/// their digests byte-identical.
 pub fn execute_or_cached_in(
     index: usize,
     scenario: Scenario,
@@ -484,9 +428,8 @@ pub fn execute_or_cached_in(
     cache: Option<&ResultCache>,
     ws: &mut SimWorkspace,
 ) -> ScenarioResult {
-    match cache {
-        Some(cache) => {
-            debug_assert_eq!(retention, Retention::Stream, "cache is stream-only");
+    match (retention, cache) {
+        (Retention::Stream, Some(cache)) => {
             if let Some(result) = cache.load_result(index, &scenario) {
                 return result;
             }
@@ -494,7 +437,9 @@ pub fn execute_or_cached_in(
             cache.store_record(&result.scenario, &result.to_record());
             result
         }
-        None => ScenarioResult::execute_with_in(index, scenario, retention, ws),
+        (Retention::Stream, None) | (Retention::Raw, _) => {
+            ScenarioResult::simulate(index, scenario, retention, ws)
+        }
     }
 }
 
@@ -574,21 +519,14 @@ mod tests {
                 assert_eq!(out_a.log_dropped, out_b.log_dropped);
             }
         }
-        // …then the digests the smoke harness relies on: the stream digest,
-        // and the pinned digest's merge-time fold versus the whole-batch
-        // recomputation.
+        // …then the digest the smoke harness relies on.
         assert_eq!(sequential.digest(), parallel.digest());
-        assert_eq!(sequential.pinned_digest(), parallel.pinned_digest());
-        assert!(sequential.pinned_digest().is_some());
-        assert_eq!(sequential.recompute_digest(), sequential.pinned_digest());
-        assert_eq!(parallel.recompute_digest(), parallel.pinned_digest());
     }
 
-    /// The bridge between the paths: the zero-materialization run must see
-    /// byte-identical entry streams (per-node counts and FNV digests), fold
-    /// the same report digest and produce bit-identical summaries as the
-    /// materializing run — that equality is what extends the pinned-digest
-    /// proof chain to the sink-fed path.
+    /// The collecting tap must not perturb the run: with it (Raw) and
+    /// without it (Stream), every scenario must see byte-identical entry
+    /// streams (per-node counts and FNV digests), fold the same report
+    /// digest and produce bit-identical summaries.
     #[test]
     fn streaming_path_is_byte_identical_to_materializing_path() {
         let retained = FleetRunner::new(3).retain_raw().run(small_batch());
@@ -596,8 +534,6 @@ mod tests {
         assert_eq!(retained.digest(), streamed.digest());
         assert!(retained.results.iter().all(|r| r.has_raw()));
         assert!(streamed.results.iter().all(|r| !r.has_raw()));
-        assert_eq!(streamed.recompute_digest(), None);
-        assert_eq!(streamed.pinned_digest(), None);
         assert_eq!(
             retained.total_log_entries(),
             streamed.total_log_entries(),
@@ -605,8 +541,8 @@ mod tests {
         );
         for (a, b) in retained.results.iter().zip(streamed.results.iter()) {
             // The O(1) stream residues are the byte-identity witness: equal
-            // counts and equal FNV digests mean the sink saw exactly the
-            // bytes the materialized log holds.
+            // counts and equal FNV digests mean both sinks saw exactly the
+            // same bytes.
             assert_eq!(a.stream_meta(), b.stream_meta(), "{}", a.scenario.name);
             for (sa, sb) in a.summaries.iter().zip(b.summaries.iter()) {
                 assert_eq!(
@@ -628,21 +564,8 @@ mod tests {
         }
     }
 
-    /// The batch-digest mode must agree with raw retention on both digests
-    /// — it exists so the pinned digest stays reproducible without keeping
-    /// the whole batch in memory.
-    #[test]
-    fn batch_digest_mode_preserves_both_digests() {
-        let retained = FleetRunner::new(3).retain_raw().run(small_batch());
-        let batch = FleetRunner::new(3).batch_digest().run(small_batch());
-        assert_eq!(retained.digest(), batch.digest());
-        assert_eq!(retained.pinned_digest(), batch.pinned_digest());
-        assert!(batch.pinned_digest().is_some());
-        assert!(batch.results.iter().all(|r| !r.has_raw()));
-    }
-
-    /// The default path never holds a raw entry; batch-digest mode is
-    /// bounded by the completion window; raw retention peaks at the total.
+    /// The default path never holds a raw entry; raw retention releases
+    /// nothing, so its peak is the total.
     #[test]
     fn retention_modes_bound_peak_retention_as_documented() {
         let streamed = FleetRunner::new(4).run(small_batch());
@@ -652,15 +575,6 @@ mod tests {
             0,
             "zero-materialization path must hold nothing"
         );
-        let batch = FleetRunner::new(4).batch_digest().run(small_batch());
-        assert!(batch.peak_entries_held() > 0);
-        assert!(
-            batch.peak_entries_held() < batch.total_log_entries(),
-            "peak {} should be below total {}",
-            batch.peak_entries_held(),
-            batch.total_log_entries()
-        );
-        // Retaining raw buffers everything: the peak is the total.
         let retained = FleetRunner::new(4).retain_raw().run(small_batch());
         assert_eq!(retained.peak_entries_held(), retained.total_log_entries());
     }
@@ -750,14 +664,15 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.writes), (total, 0, 0));
         assert!(warm.results.iter().all(|r| r.cache_hit()));
 
-        // Materializing retentions must bypass the cache entirely: the
-        // pinned digest folds raw entry bytes no record carries.
-        let batch = FleetRunner::new(2)
-            .batch_digest()
+        // Raw retention must bypass the cache entirely: a warm entry holds
+        // no log to hand back, and a Raw run writes none.
+        let raw = FleetRunner::new(2)
+            .retain_raw()
             .run_cached(small_batch(), Some(&cache));
-        assert!(batch.cache_stats().is_none());
-        assert!(batch.pinned_digest().is_some());
-        assert_eq!(batch.digest(), plain.digest());
+        let stats = raw.cache_stats().expect("cached run is stamped");
+        assert_eq!((stats.hits, stats.misses, stats.writes), (0, 0, 0));
+        assert!(raw.results.iter().all(|r| r.has_raw() && !r.cache_hit()));
+        assert_eq!(raw.digest(), plain.digest());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -768,7 +683,7 @@ mod tests {
     /// the pooled per-node slots.
     #[test]
     fn pooled_workspace_reuse_is_digest_identical_to_fresh_execution() {
-        use crate::report::Fnv;
+        use quanto_core::Fnv;
         let grid = || {
             let mut batch = small_batch();
             batch.extend(scenarios::medium_grid(SimDuration::from_secs(1)));
@@ -784,7 +699,7 @@ mod tests {
         let fresh: Vec<ScenarioResult> = grid()
             .into_iter()
             .enumerate()
-            .map(|(i, s)| ScenarioResult::execute_streaming(i, s))
+            .map(|(i, s)| ScenarioResult::execute_streaming_in(i, s, &mut SimWorkspace::new()))
             .collect();
         let mut ws = SimWorkspace::new();
         for pass in 0..2 {

@@ -17,7 +17,7 @@ use quanto_apps::{
     lpl_node_config, paper_interference, BlinkApp, BounceApp, LplListenerApp,
     PAPER_INTERFERENCE_SEED,
 };
-use quanto_core::{LogEncoding, NodeId};
+use quanto_core::{Fnv, LogEncoding, NodeId};
 
 /// Which application a scenario's nodes run.
 #[derive(Debug, Clone, PartialEq)]
@@ -461,7 +461,7 @@ impl Scenario {
     /// This is the content address of the result cache: equal digests mean
     /// "this exact simulation has run before".
     pub fn spec_digest(&self) -> u64 {
-        let mut h = crate::report::Fnv::new();
+        let mut h = Fnv::new();
         h.write(&[SPEC_DIGEST_VERSION]);
         h.write(&[match self.log_encoding() {
             LogEncoding::V1 => 1,
@@ -598,8 +598,8 @@ pub const SPEC_DIGEST_VERSION: u8 = 1;
 
 /// Folds a medium spec (tag, parameters, positions, traces) into a spec
 /// digest.
-fn fold_medium(h: &mut crate::report::Fnv, medium: &MediumSpec) {
-    let fold_positions = |h: &mut crate::report::Fnv, positions: &[(u32, f64, f64)]| {
+fn fold_medium(h: &mut Fnv, medium: &MediumSpec) {
+    let fold_positions = |h: &mut Fnv, positions: &[(u32, f64, f64)]| {
         h.write(&(positions.len() as u64).to_le_bytes());
         for (id, x, y) in positions {
             h.write(&id.to_le_bytes());
@@ -607,7 +607,7 @@ fn fold_medium(h: &mut crate::report::Fnv, medium: &MediumSpec) {
             h.write(&y.to_bits().to_le_bytes());
         }
     };
-    let fold_path_loss = |h: &mut crate::report::Fnv, spec: &PathLossSpec| {
+    let fold_path_loss = |h: &mut Fnv, spec: &PathLossSpec| {
         for f in [
             spec.tx_power_dbm,
             spec.ref_loss_db,

@@ -20,7 +20,8 @@
 //! it.
 //!
 //! Workspaces are deliberately `!Send`-ish in usage: each [`crate::FleetRunner`]
-//! worker thread owns its own, so no synchronization ever touches the pool.
+//! worker thread and each `quanto-serve` pool worker owns its own for its
+//! whole life, so no synchronization ever touches the pool.
 
 use crate::report::LiveNode;
 use net_sim::NetScratch;

@@ -5,16 +5,23 @@
 
 use hw_model::SimDuration;
 use quanto_core::NodeId;
-use quanto_fleet::{FleetRunner, MediumSpec, RawAccessError, Retention, Scenario, ScenarioResult};
+use quanto_fleet::{
+    execute_or_cached_in, FleetRunner, MediumSpec, RawAccessError, Retention, Scenario,
+    ScenarioResult, SimWorkspace,
+};
 
 fn bounce(d: u64) -> Scenario {
     Scenario::bounce(SimDuration::from_secs(d))
 }
 
+fn execute(scenario: Scenario, retention: Retention) -> ScenarioResult {
+    execute_or_cached_in(0, scenario, retention, None, &mut SimWorkspace::new())
+}
+
 #[test]
 fn not_retained_error_names_the_scenario_and_the_fix() {
     // The zero-materialization path never has raw outputs.
-    let streamed = ScenarioResult::execute_with(0, bounce(1), Retention::Stream);
+    let streamed = execute(bounce(1), Retention::Stream);
     assert!(!streamed.has_raw());
     let err = streamed.output(NodeId(1)).unwrap_err();
     assert!(matches!(err, RawAccessError::NotRetained { .. }));
@@ -29,7 +36,7 @@ fn not_retained_error_names_the_scenario_and_the_fix() {
 
 #[test]
 fn unknown_node_error_lists_the_nodes_that_ran() {
-    let result = ScenarioResult::execute_with(0, bounce(1), Retention::Raw);
+    let result = execute(bounce(1), Retention::Raw);
     let err = result.output(NodeId(9)).unwrap_err();
     let RawAccessError::UnknownNode {
         scenario,
@@ -49,7 +56,7 @@ fn unknown_node_error_lists_the_nodes_that_ran() {
 
 #[test]
 fn counter_error_names_the_medium_and_the_alternatives() {
-    let ideal = ScenarioResult::execute_with(0, bounce(1), Retention::Stream);
+    let ideal = execute(bounce(1), Retention::Stream);
     assert!(!ideal.has_medium_counters());
     let err = ideal.medium_counters().unwrap_err();
     assert_eq!(err.medium, "ideal");
@@ -63,8 +70,7 @@ fn counter_error_names_the_medium_and_the_alternatives() {
         );
     }
     // A geometric medium answers on the same streaming path.
-    let disk = ScenarioResult::execute_with(
-        0,
+    let disk = execute(
         bounce(2).with_medium(MediumSpec::UnitDisk {
             range_m: 100.0,
             positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
@@ -75,8 +81,8 @@ fn counter_error_names_the_medium_and_the_alternatives() {
 }
 
 /// `summary_json` must stay structurally valid when counters are untracked:
-/// `"delivery":null`, no pinned digest on the streaming path, balanced
-/// braces and brackets throughout.
+/// `"delivery":null`, the always-null `pinned_digest` kept for v1 document
+/// compatibility, balanced braces and brackets throughout.
 #[test]
 fn summary_json_is_well_formed_without_counters() {
     let report =
@@ -93,13 +99,11 @@ fn summary_json_is_well_formed_without_counters() {
             "unbalanced {open}{close} in {json}"
         );
     }
-    // With a materializing mode the pinned digest appears as a hex string.
-    let pinned = FleetRunner::sequential()
-        .batch_digest()
-        .run(vec![bounce(1)]);
+    // Raw retention writes the same null: there is only one digest.
+    let raw = FleetRunner::sequential().retain_raw().run(vec![bounce(1)]);
     assert!(
-        pinned.summary_json().contains("\"pinned_digest\":\"0x"),
+        raw.summary_json().contains("\"pinned_digest\":null"),
         "{}",
-        pinned.summary_json()
+        raw.summary_json()
     );
 }

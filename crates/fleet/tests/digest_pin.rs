@@ -1,33 +1,22 @@
 //! Pins the report digests of fixed scenario batches across refactors of
-//! the analysis pipeline.
+//! the execution and analysis pipeline, and the spec digests that address
+//! the result cache.
 //!
-//! Two families of pins, one proof chain:
-//!
-//! * The **pinned digests** ([`FleetReport::pinned_digest`]) were recorded
-//!   on the pre-streaming batch pipeline (whole-log `power_intervals`, raw
-//!   outputs retained to the end).  Every materializing retention mode must
-//!   reproduce them byte for byte, at any thread count — they prove the
-//!   merge-time fold and the incremental builders never drifted from the
-//!   original whole-batch computation.
 //! * The **stream digests** ([`FleetReport::digest`]) fold each node's
-//!   in-run entry stream (count + FNV over the encoded bytes) instead of
-//!   the raw bytes, which is what the zero-materialization path can
-//!   compute.  The bridge test below proves, scenario by scenario and node
-//!   by node, that the sink-fed path sees byte-identical entry streams to
-//!   the materializing path — so the pinned constants transitively cover
-//!   the streaming path too, and the stream constants pin it directly.
+//!   in-run entry stream (count + FNV over the encoded bytes), its stamps,
+//!   stats and summaries.  Both retention modes run the same streaming
+//!   simulation, so they must reproduce the same constants at any thread
+//!   count; the bridge test below checks, node by node, that the log a
+//!   `Raw` run collects is exactly the entry stream the sink digested.
+//! * The **spec digests** ([`Scenario::spec_digest`]) are the result
+//!   cache's content addresses.  A moved key would silently turn every
+//!   existing `.quanto-cache/` entry into a miss.
 
 use hw_model::SimDuration;
-use quanto_fleet::{scenarios, FleetRunner, GridSpec, MediumSpec, Scenario};
+use quanto_core::{LogSink, StreamDigest};
+use quanto_fleet::{scenarios, FleetRunner, GridSpec, MediumSpec, PathLossSpec, Scenario};
 
-/// `pin_batch()` pinned digest recorded on the pre-refactor batch pipeline.
-const PIN_BATCH_DIGEST: u64 = 0x766a_a912_dcd1_2f29;
-/// Single 4-second LPL channel-17 scenario, same provenance.
-const SINGLE_LPL_DIGEST: u64 = 0x297e_7546_08a5_134c;
-
-/// `pin_batch()` stream digest, recorded on the zero-materialization path
-/// whose entry streams the bridge test proves byte-identical to the batch
-/// pipeline above.
+/// `pin_batch()` stream digest, recorded on the zero-materialization path.
 const PIN_BATCH_STREAM_DIGEST: u64 = 0xf73f_b2e3_9f24_1280;
 /// Single 4-second LPL channel-17 scenario, stream digest.
 const SINGLE_LPL_STREAM_DIGEST: u64 = 0x1f37_3cb5_5ee7_ff3a;
@@ -67,23 +56,15 @@ app = idle
 seconds = 1
 ";
 
+/// The materializing mode — `Raw`, the streaming run plus a collecting
+/// tap — must fold the constants recorded before the tap existed.
 #[test]
 fn materializing_modes_reproduce_pre_refactor_digests() {
     for runner in [
-        FleetRunner::sequential().batch_digest(),
-        FleetRunner::new(4).batch_digest(),
         FleetRunner::sequential().retain_raw(),
         FleetRunner::new(4).retain_raw(),
     ] {
         let report = runner.run(pin_batch());
-        assert_eq!(
-            report.pinned_digest(),
-            Some(PIN_BATCH_DIGEST),
-            "pinned digest drifted from the pre-refactor batch pipeline \
-             (threads {}, retention {:?})",
-            runner.threads(),
-            runner.retention(),
-        );
         assert_eq!(
             report.digest(),
             PIN_BATCH_STREAM_DIGEST,
@@ -91,6 +72,7 @@ fn materializing_modes_reproduce_pre_refactor_digests() {
             runner.threads(),
             runner.retention(),
         );
+        assert_eq!(report.peak_entries_held(), report.total_log_entries());
     }
 }
 
@@ -104,49 +86,49 @@ fn streaming_mode_reproduces_the_stream_digest_pin() {
             "zero-materialization stream digest drifted (threads {})",
             runner.threads(),
         );
-        assert_eq!(
-            report.pinned_digest(),
-            None,
-            "stream mode holds no raw bytes"
-        );
         assert_eq!(report.peak_entries_held(), 0);
     }
 }
 
-/// The bridge that extends the pre-refactor pins to the sink-fed path: for
-/// every scenario and node, the zero-materialization run must report the
-/// same entry count and the same FNV digest over the encoded entry bytes as
-/// the materializing run — i.e. the sink saw exactly the bytes the
-/// materialized log holds, in the same order.
+/// The bridge between the two retention modes: for every scenario and
+/// node, a fresh [`StreamDigest`] over the whole log the `Raw` run
+/// collected must equal the residue the live sink folded chunk by chunk —
+/// the tap saw exactly the bytes the digest did, in the same order.
 #[test]
 fn in_run_streaming_is_byte_identical_to_the_batch_pipeline() {
-    let streamed = FleetRunner::new(4).run(pin_batch());
-    let materialized = FleetRunner::new(4).batch_digest().run(pin_batch());
-    assert_eq!(materialized.pinned_digest(), Some(PIN_BATCH_DIGEST));
-    for (a, b) in streamed.results.iter().zip(materialized.results.iter()) {
-        assert_eq!(
-            a.stream_meta(),
-            b.stream_meta(),
-            "scenario {} entry streams diverged between the sink-fed and \
-             materializing paths",
-            a.scenario.name
-        );
+    let raw = FleetRunner::new(4).retain_raw().run(pin_batch());
+    for result in &raw.results {
+        let outputs = &result.raw().expect("Raw retains outputs").outputs;
+        assert_eq!(outputs.len(), result.stream_meta().len());
+        for ((id, out), meta) in outputs.iter().zip(result.stream_meta()) {
+            assert_eq!(*id, meta.node);
+            let mut digest = StreamDigest::with_encoding(result.scenario.log_encoding());
+            digest.accept(&out.log);
+            assert_eq!(
+                (digest.entries(), digest.digest()),
+                (meta.entries, meta.entry_digest),
+                "scenario {} node {id}: the collected log diverged from the \
+                 digested entry stream",
+                result.scenario.name
+            );
+            assert_eq!(out.final_stamp, meta.final_stamp);
+            assert_eq!(out.log_dropped, meta.log_dropped);
+        }
     }
-    assert_eq!(streamed.digest(), materialized.digest());
+    assert_eq!(raw.digest(), PIN_BATCH_STREAM_DIGEST);
 }
 
 #[test]
 fn single_scenario_digests_are_pinned_too() {
     let batch = || vec![Scenario::lpl(17, 0.18, SimDuration::from_secs(4))];
-    let report = FleetRunner::sequential().batch_digest().run(batch());
-    assert_eq!(report.pinned_digest(), Some(SINGLE_LPL_DIGEST));
-    assert_eq!(report.digest(), SINGLE_LPL_STREAM_DIGEST);
+    let raw = FleetRunner::sequential().retain_raw().run(batch());
+    assert_eq!(raw.digest(), SINGLE_LPL_STREAM_DIGEST);
     let streamed = FleetRunner::sequential().run(batch());
     assert_eq!(streamed.digest(), SINGLE_LPL_STREAM_DIGEST);
 }
 
 /// The `Ideal` medium is the pre-medium-subsystem explicit-topology path:
-/// spelling it out with `with_medium` must reproduce the pinned digests byte
+/// spelling it out with `with_medium` must reproduce the digest pin byte
 /// for byte (same deliveries, same logs, no counter bytes folded).
 #[test]
 fn explicit_ideal_medium_reproduces_the_pinned_digests() {
@@ -154,10 +136,10 @@ fn explicit_ideal_medium_reproduces_the_pinned_digests() {
         .into_iter()
         .map(|s| s.with_medium(MediumSpec::Ideal))
         .collect();
-    let report = FleetRunner::new(4).batch_digest().run(batch);
+    let report = FleetRunner::new(4).retain_raw().run(batch);
     assert_eq!(
-        report.pinned_digest(),
-        Some(PIN_BATCH_DIGEST),
+        report.digest(),
+        PIN_BATCH_STREAM_DIGEST,
         "an explicit Ideal medium must be byte-identical to the topology path"
     );
     assert!(report
@@ -168,13 +150,29 @@ fn explicit_ideal_medium_reproduces_the_pinned_digests() {
 
 /// A config-file grid reproducing the pin batch yields byte-identical
 /// digests — the `GridSpec` subsystem composes the same scenarios the
-/// hand-written constructors built, down to the pinned pre-refactor bytes.
+/// hand-written constructors built.
 #[test]
 fn grid_config_file_reproduces_the_pinned_digests() {
     let grid = GridSpec::parse(PIN_BATCH_GRID).expect("pin grid parses");
     let batch = grid.expand().expect("pin grid expands");
     assert_eq!(batch, pin_batch(), "grid must expand to the exact batch");
-    let report = FleetRunner::new(4).batch_digest().run(batch);
-    assert_eq!(report.pinned_digest(), Some(PIN_BATCH_DIGEST));
+    let report = FleetRunner::new(4).run(batch);
     assert_eq!(report.digest(), PIN_BATCH_STREAM_DIGEST);
+}
+
+/// Cache keys, recorded before FNV-1a moved into `quanto_core`: an
+/// ideal-medium LPL cell, a path-loss Bounce cell, and a 300-node cell
+/// (v2 log encoding, so the encoding byte differs too).
+#[test]
+fn spec_digests_are_pinned() {
+    let lpl = Scenario::lpl(17, 0.18, SimDuration::from_secs(4));
+    let path_loss = Scenario::bounce(SimDuration::from_secs(2)).with_medium(MediumSpec::PathLoss {
+        model: PathLossSpec::default(),
+        positions: vec![(1, 0.0, 0.0), (4, 10.0, 0.0)],
+    });
+    let wide = scenarios::path_loss_stress(150, 3, SimDuration::from_secs(1));
+    assert_eq!(wide.node_ids().len(), 300);
+    assert_eq!(lpl.spec_digest(), 0x64fb_6471_c862_5300);
+    assert_eq!(path_loss.spec_digest(), 0x9cf3_2c11_27e5_21e3);
+    assert_eq!(wide.spec_digest(), 0xee12_7647_6ccd_1fcd);
 }

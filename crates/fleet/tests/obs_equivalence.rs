@@ -1,9 +1,10 @@
 //! The non-perturbation contract of the `quanto-obs` layer: enabling
-//! observability must not change a single simulated byte.  Every digest pin
-//! from `digest_pin.rs` is re-asserted here with obs recording, and the
-//! obs-on reports are compared stream-for-stream against obs-off runs of
-//! the same batches — including the smoke grid's medium axis, so the
-//! path-loss effort counters and the spatial index are covered too.
+//! observability must not change a single simulated byte.  Every stream
+//! digest pin from `digest_pin.rs` is re-asserted here with obs recording,
+//! in both retention modes, and the obs-on reports are compared
+//! stream-for-stream against obs-off runs of the same batches — including
+//! the smoke grid's medium axis, so the path-loss effort counters and the
+//! spatial index are covered too.
 //!
 //! One `#[test]` on purpose: the enabled flag is process-global, and this
 //! integration binary owning exactly one test keeps the off-reference and
@@ -12,8 +13,6 @@
 use hw_model::SimDuration;
 use quanto_fleet::{scenarios, FleetRunner, GridSpec, Scenario};
 
-const PIN_BATCH_DIGEST: u64 = 0x766a_a912_dcd1_2f29;
-const SINGLE_LPL_DIGEST: u64 = 0x297e_7546_08a5_134c;
 const PIN_BATCH_STREAM_DIGEST: u64 = 0xf73f_b2e3_9f24_1280;
 const SINGLE_LPL_STREAM_DIGEST: u64 = 0x1f37_3cb5_5ee7_ff3a;
 
@@ -35,17 +34,27 @@ fn smoke_batch() -> Vec<Scenario> {
     grid.expand().expect("smoke grid expands")
 }
 
+/// One slow cell ahead of many fast ones: without the backpressure window
+/// the fast cells' results would pile up in the reorder buffer behind it.
+fn skewed_batch() -> Vec<Scenario> {
+    let mut batch = vec![Scenario::lpl(17, 0.18, SimDuration::from_secs(120))];
+    batch.extend((1..=32).map(|seed| {
+        Scenario::idle(SimDuration::from_millis(100))
+            .with_seed(seed)
+            .named(format!("idle_seed{seed}"))
+    }));
+    batch
+}
+
 #[test]
 fn observability_never_perturbs_a_digest() {
     // Phase 1: obs off (the default) — record the reference digests and
-    // re-assert the pre-refactor pins.
+    // re-assert the pins.
     assert!(!quanto_obs::enabled(), "obs must start disabled");
-    let off_pin = FleetRunner::new(4).batch_digest().run(pin_batch());
-    assert_eq!(off_pin.pinned_digest(), Some(PIN_BATCH_DIGEST));
+    let off_pin = FleetRunner::new(4).retain_raw().run(pin_batch());
     assert_eq!(off_pin.digest(), PIN_BATCH_STREAM_DIGEST);
     let single = || vec![Scenario::lpl(17, 0.18, SimDuration::from_secs(4))];
-    let off_single = FleetRunner::sequential().batch_digest().run(single());
-    assert_eq!(off_single.pinned_digest(), Some(SINGLE_LPL_DIGEST));
+    let off_single = FleetRunner::sequential().retain_raw().run(single());
     assert_eq!(off_single.digest(), SINGLE_LPL_STREAM_DIGEST);
     let off_smoke = FleetRunner::new(4).run(smoke_batch());
     assert_eq!(
@@ -56,21 +65,29 @@ fn observability_never_perturbs_a_digest() {
 
     // Phase 2: the identical runs with every span and metric recording.
     quanto_obs::set_enabled(true);
-    let on_pin = FleetRunner::new(4).batch_digest().run(pin_batch());
-    let on_single = FleetRunner::sequential().batch_digest().run(single());
+    let on_pin = FleetRunner::new(4).retain_raw().run(pin_batch());
+    let on_pin_stream = FleetRunner::new(4).run(pin_batch());
+    let on_single = FleetRunner::sequential().retain_raw().run(single());
     let on_smoke = FleetRunner::new(4).run(smoke_batch());
     let on_smoke_seq = FleetRunner::sequential().run(smoke_batch());
+    let on_skewed = FleetRunner::new(4).run(skewed_batch());
     quanto_obs::set_enabled(false);
     let harvest = quanto_obs::harvest();
 
     assert_eq!(
-        on_pin.pinned_digest(),
-        Some(PIN_BATCH_DIGEST),
-        "obs-on run drifted from the pinned batch digest"
+        on_pin.digest(),
+        PIN_BATCH_STREAM_DIGEST,
+        "obs-on Raw run drifted from the pinned stream digest"
     );
-    assert_eq!(on_pin.digest(), PIN_BATCH_STREAM_DIGEST);
-    assert_eq!(on_single.pinned_digest(), Some(SINGLE_LPL_DIGEST));
+    assert_eq!(on_pin_stream.digest(), PIN_BATCH_STREAM_DIGEST);
     assert_eq!(on_single.digest(), SINGLE_LPL_STREAM_DIGEST);
+    // Obs must not perturb the collected logs either.
+    for (off, on) in off_pin.results.iter().zip(on_pin.results.iter()) {
+        let (off_raw, on_raw) = (off.raw().unwrap(), on.raw().unwrap());
+        for ((id, a), (_, b)) in off_raw.outputs.iter().zip(on_raw.outputs.iter()) {
+            assert_eq!(a.log, b.log, "scenario {} node {id}", off.scenario.name);
+        }
+    }
     assert_eq!(
         on_smoke.digest(),
         off_smoke.digest(),
@@ -104,5 +121,20 @@ fn observability_never_perturbs_a_digest() {
             .unwrap_or(0)
             > 0,
         "engine counters missing from the harvest"
+    );
+
+    // The backpressure window bounds the merge loop's reorder buffer: with
+    // 4 workers the window is 8 scenarios, however far the skewed batch's
+    // fast cells could race ahead.  (This binary is the one that records
+    // obs, so the bound is read here.)
+    assert_eq!(on_skewed.results.len(), 33);
+    let occupancy = harvest
+        .merged
+        .histogram("runner.reorder_window_occupancy")
+        .expect("multi-threaded runs record reorder occupancy");
+    assert!(
+        occupancy.max() <= Some(8),
+        "reorder buffer held {:?} results, past the 8-scenario window",
+        occupancy.max()
     );
 }

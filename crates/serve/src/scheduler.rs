@@ -3,8 +3,10 @@
 //! Every worker loops: pick the next job in ring order that has claimable
 //! work, take a chunk of its queue with [`take_chunk`] (the same guided
 //! self-scheduling the dist coordinator serves shards with), execute each
-//! cell through [`execute_or_cached`], and hand the results to the job's
-//! reorder buffer.  Two rules keep tenants honest:
+//! cell through [`execute_or_cached_in`] on the worker's own pooled
+//! [`SimWorkspace`] (one per worker for its whole life, so every cell after
+//! the first recycles the previous cell's allocations), and hand the
+//! results to the job's reorder buffer.  Two rules keep tenants honest:
 //!
 //! * **fairness** — the ring cursor advances past a job after every claim,
 //!   so with two jobs and two workers each job holds about half the pool
@@ -16,7 +18,7 @@
 
 use crate::registry::{Job, Shared};
 use quanto_fleet::dist::take_chunk;
-use quanto_fleet::{execute_or_cached, Retention};
+use quanto_fleet::{execute_or_cached_in, Retention, SimWorkspace};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,9 +26,10 @@ use std::time::Duration;
 /// One pool worker; runs until shutdown.
 pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     quanto_obs::set_thread_label(&format!("serve-worker-{worker}"));
+    let mut ws = SimWorkspace::new();
     while !shared.shutdown.load(Ordering::Relaxed) {
         match claim(&shared) {
-            Some((job, chunk)) => run_chunk(&shared, &job, chunk),
+            Some((job, chunk)) => run_chunk(&shared, &job, chunk, &mut ws),
             None => {
                 let table = shared.registry.lock().expect("job table poisoned");
                 if shared.shutdown.load(Ordering::Relaxed) {
@@ -91,17 +94,18 @@ fn claim(shared: &Shared) -> Option<(Arc<Job>, Vec<usize>)> {
 
 /// Executes one claimed chunk, feeding each result to the job's reorder
 /// buffer as it lands.  Bails between cells if the job is cancelled.
-fn run_chunk(shared: &Shared, job: &Arc<Job>, chunk: Vec<usize>) {
+fn run_chunk(shared: &Shared, job: &Arc<Job>, chunk: Vec<usize>, ws: &mut SimWorkspace) {
     let span = quanto_obs::span_with("serve.chunk", &chunk.len().to_string());
     for index in chunk {
         if job.cancelled.load(Ordering::Relaxed) {
             break;
         }
-        let result = execute_or_cached(
+        let result = execute_or_cached_in(
             index,
             job.scenarios[index].clone(),
             Retention::Stream,
             shared.cache.as_ref(),
+            ws,
         );
         shared
             .stats
