@@ -200,7 +200,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--seconds" => {
                 let v = value(&mut i, "--seconds")?;
                 match v.parse::<f64>() {
-                    Ok(s) if s > 0.0 => args.seconds = Some(s),
+                    Ok(s) if s.is_finite() && s > 0.0 => args.seconds = Some(s),
                     _ => {
                         return usage_error(format!(
                             "fleet_sweep: --seconds expects a positive number, got {v:?}"
@@ -685,11 +685,11 @@ fn run_mode(args: &Args) -> ExitCode {
         seed_count: args.seeds,
         pairs: args.stress_pairs,
     };
-    let grid = match GridSpec::parse(&grid_text) {
-        Ok(mut grid) => {
-            overrides.apply(&mut grid);
-            grid
-        }
+    let grid = match GridSpec::parse(&grid_text).and_then(|mut grid| {
+        overrides.apply(&mut grid)?;
+        Ok(grid)
+    }) {
+        Ok(grid) => grid,
         Err(why) => {
             eprintln!("fleet_sweep: {source}: {why}");
             return ExitCode::FAILURE;
@@ -981,6 +981,8 @@ mod tests {
             &["--sedes", "4"][..],
             &["--seconds"][..],
             &["--seconds", "abc"][..],
+            &["--seconds", "inf"][..],
+            &["--seconds", "NaN"][..],
             &["--threads", "0"][..],
             &["--stress", "0"][..],
             &["--stress", "40000"][..],

@@ -119,16 +119,9 @@ impl ResultCache {
     /// Any failure along the way — no file, unreadable, unparsable, wrong
     /// version, wrong spec echo, structurally invalid record, or a record
     /// that does not describe this scenario — is a counted **miss**, so the
-    /// caller simply simulates.  This is the probe the sweep schedulers
-    /// (the [`crate::dist`] coordinator and the `quanto-serve` daemon) run
-    /// for every cell before queueing work: a hit never enters the queue.
+    /// caller simply simulates.  This is the probe a [`crate::Job`] runs
+    /// for every cell when it is built: a hit never enters the queue.
     pub fn probe(&self, index: usize, scenario: &Scenario) -> Option<ScenarioResult> {
-        self.load_result(index, scenario)
-    }
-
-    /// [`ResultCache::probe`], under the crate-internal name the runner and
-    /// coordinator predate the public seam with.
-    pub(crate) fn load_result(&self, index: usize, scenario: &Scenario) -> Option<ScenarioResult> {
         let result = self
             .read_record(scenario.spec_digest())
             .and_then(|record| ScenarioResult::from_record(index, scenario.clone(), &record, true));
@@ -234,18 +227,15 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let cache = ResultCache::open(&dir).expect("open");
         let scenario = Scenario::idle(SimDuration::from_secs(1));
-        assert!(
-            cache.load_result(0, &scenario).is_none(),
-            "cold cache misses"
-        );
+        assert!(cache.probe(0, &scenario).is_none(), "cold cache misses");
         assert!(cache.store_record(&scenario, &sample_record()));
-        let hit = cache.load_result(7, &scenario).expect("warm cache hits");
+        let hit = cache.probe(7, &scenario).expect("warm cache hits");
         assert!(hit.cache_hit());
         assert_eq!(hit.index, 7);
         assert_eq!(hit.to_record(), sample_record());
         // A different spec does not alias.
         assert!(cache
-            .load_result(0, &Scenario::idle(SimDuration::from_secs(2)))
+            .probe(0, &Scenario::idle(SimDuration::from_secs(2)))
             .is_none());
         assert_eq!(
             cache.stats(),
@@ -269,25 +259,25 @@ mod tests {
 
         // Truncated mid-document.
         std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-        assert!(cache.load_result(0, &scenario).is_none());
+        assert!(cache.probe(0, &scenario).is_none());
         // Outright garbage.
         std::fs::write(&path, b"\x00\xffnot json at all").unwrap();
-        assert!(cache.load_result(0, &scenario).is_none());
+        assert!(cache.probe(0, &scenario).is_none());
         // A future format version self-invalidates.
         std::fs::write(&path, good.replace("\"version\":1", "\"version\":999")).unwrap();
-        assert!(cache.load_result(0, &scenario).is_none());
+        assert!(cache.probe(0, &scenario).is_none());
         // A spec-echo mismatch (entry landed under the wrong name).
         let other = Scenario::idle(SimDuration::from_secs(3));
         std::fs::copy(&path, cache.entry_path(other.spec_digest())).unwrap();
         std::fs::write(&path, &good).unwrap();
-        assert!(cache.load_result(0, &other).is_none());
+        assert!(cache.probe(0, &other).is_none());
         // A structurally-valid record for the *wrong* scenario (two nodes
         // expected, one recorded) is also a miss.
         let bounce = Scenario::bounce(SimDuration::from_secs(1));
         assert!(cache.store_record(&bounce, &sample_record()));
-        assert!(cache.load_result(0, &bounce).is_none());
+        assert!(cache.probe(0, &bounce).is_none());
         // The intact entry still hits — misses never poison the cache.
-        let hit = cache.load_result(0, &scenario).expect("intact entry hits");
+        let hit = cache.probe(0, &scenario).expect("intact entry hits");
         assert_eq!(hit.to_record(), sample_record());
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }

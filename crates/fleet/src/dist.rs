@@ -4,9 +4,13 @@
 //! A [`Coordinator`] expands a grid once, serves its scenario *indices* in
 //! adaptively-shrinking chunks over a line-delimited JSON work-queue
 //! protocol (`std::net::TcpListener` on loopback — no dependencies), and
-//! merges the per-scenario records the shards return.  Each shard is
-//! another process of the same binary (`fleet_sweep --shard ADDR`) running
-//! its own [`crate::FleetRunner`] over every chunk it claims.
+//! merges the per-scenario records the shards return.  The sweep is one
+//! [`crate::Job`]: its connection handlers claim chunks from it, requeue
+//! whatever a lost shard owed, and deliver the decoded records.  Each shard
+//! is another process of the same binary (`fleet_sweep --shard ADDR`)
+//! running one [`crate::WorkerPool`] for the whole connection, with every
+//! chunk it claims a job on that pool — so its workers' workspaces persist
+//! across chunks.
 //!
 //! ```text
 //! shard → {"t":"hello"}
@@ -23,19 +27,22 @@
 //!
 //! **Self-scheduling.**  Chunks are claimed, not assigned: whenever a shard
 //! asks, it receives the next `max(1, remaining / (2 × shards))` queued
-//! indices (guided self-scheduling).  Early chunks are large to amortize
-//! round-trips; late chunks shrink toward single scenarios, so a straggler
-//! shard can never sit on a long tail while its peers idle.
+//! indices (the job's guided self-scheduling chunk).  Early
+//! chunks are large to amortize round-trips; late chunks shrink toward
+//! single scenarios, so a straggler shard can never sit on a long tail
+//! while its peers idle.  The pool's backpressure window never clamps
+//! these chunks: every extra round-trip would cost a sharded sweep more
+//! than the reorder buffer it saves.
 //!
 //! **Determinism.**  The shards ship grid *text* plus the numeric overrides
 //! (not expanded scenarios), re-expand identically, and return each
 //! scenario's `ScenarioRecord` — summaries, stream
 //! residues and medium counters with every float as its exact bit pattern.
-//! The coordinator reorders results by submission index and folds them
-//! through the same `ReportAccumulator` the in-process
-//! runner uses, so [`crate::FleetReport::digest`] is byte-identical at any
-//! shard count × thread count.  Dist runs always use
-//! [`Retention::Stream`]: a record carries no raw log.
+//! The coordinator's job reorders results by submission index and folds
+//! them exactly as an in-process run's job does, so
+//! [`crate::FleetReport::digest`] is byte-identical at any shard count ×
+//! thread count.  Dist runs always use [`Retention::Stream`]: a record
+//! carries no raw log.
 //!
 //! **Fault tolerance.**  A handler that loses its connection mid-chunk
 //! pushes the chunk's unreturned indices back onto the *front* of the
@@ -44,9 +51,9 @@
 //! work remains does [`Coordinator::run`] give up with
 //! [`DistError::ShardsDied`].
 //!
-//! **Cache integration.**  The coordinator probes the result cache for
-//! every cell up front — hits never enter the queue (a fully-warm sweep
-//! spawns no work at all) — and shards write fresh entries as they
+//! **Cache integration.**  The coordinator's job probes the result cache
+//! for every cell up front — hits never enter the queue (a fully-warm
+//! sweep spawns no work at all) — and shards write fresh entries as they
 //! simulate, so the next sweep over an edited grid re-executes only the
 //! changed cells.
 //!
@@ -68,65 +75,37 @@
 //! assert_eq!(report.results.len(), 1);
 //! ```
 
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::ResultCache;
+pub use crate::grid::GridOverrides;
 use crate::grid::{GridError, GridSpec};
+use crate::job::{FleetProgress, Job, JobStatus};
+use crate::pool::WorkerPool;
 use crate::record::ScenarioRecord;
-use crate::report::{FleetReport, ReportAccumulator, ScenarioResult};
-use crate::runner::{FleetProgress, FleetRunner, Retention};
+use crate::report::{FleetReport, ScenarioResult};
+use crate::runner::Retention;
 use crate::scenario::Scenario;
-use crate::wire::{push_json_str, Value};
-use std::collections::{BTreeMap, VecDeque};
+use crate::wire::{push_json_str, read_msg, write_line, Value};
 use std::fmt;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Wire protocol version; both ends must agree exactly.
 const PROTO_VERSION: u64 = 1;
 
-/// How long the merge loop tolerates zero live connections (after at least
+/// How long the run loop tolerates zero live connections (after at least
 /// one shard has connected) before declaring the fleet dead.  Long enough
 /// to ride out the gap between one shard disconnecting and another's
 /// connect landing; short enough that tests and CI fail fast.
 const ALL_DEAD_GRACE: Duration = Duration::from_secs(2);
 
-/// How long the merge loop waits for the *first* connection before giving
+/// How long the run loop waits for the *first* connection before giving
 /// up — generous, because freshly-spawned shard processes pay a process
 /// start plus a grid expansion before they dial in.
 const FIRST_CONNECT_GRACE: Duration = Duration::from_secs(120);
-
-/// The numeric sweep overrides (`--seconds`, `--seeds`, `--pairs`) applied
-/// identically on both ends of the protocol — the coordinator for its own
-/// expansion and cache probe, each shard for its re-expansion.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GridOverrides {
-    /// Replaces the grid-level default duration (cells with their own
-    /// `seconds` keep them).
-    pub seconds: Option<f64>,
-    /// Replaces every non-empty seed axis with `1..=n`.
-    pub seed_count: Option<u64>,
-    /// Replaces every bounce-pairs cell's pair count.
-    pub pairs: Option<u16>,
-}
-
-impl GridOverrides {
-    /// Applies the overrides to a parsed grid, in the fixed order both ends
-    /// share.
-    pub fn apply(&self, spec: &mut GridSpec) {
-        if let Some(seconds) = self.seconds {
-            spec.override_seconds(seconds);
-        }
-        if let Some(n) = self.seed_count {
-            spec.override_seed_count(n);
-        }
-        if let Some(pairs) = self.pairs {
-            spec.override_pairs(pairs);
-        }
-    }
-}
 
 /// How a distributed sweep runs.
 #[derive(Debug, Clone)]
@@ -134,7 +113,7 @@ pub struct DistOptions {
     /// How many shard processes will serve the queue (the chunk-size
     /// denominator; the coordinator accepts any number of connections).
     pub shards: u32,
-    /// Worker threads per shard's in-process `FleetRunner`.
+    /// Worker threads in each shard's pool.
     pub threads: usize,
     /// Result-cache directory shared by the coordinator's probe and every
     /// shard; `None` disables caching.
@@ -215,18 +194,8 @@ impl JobSpec {
         ));
         out.push_str("\"grid\":");
         push_json_str(&mut out, &self.grid_text);
-        match self.overrides.seconds {
-            Some(s) => out.push_str(&format!(",\"seconds\":{}", s.to_bits())),
-            None => out.push_str(",\"seconds\":null"),
-        }
-        match self.overrides.seed_count {
-            Some(n) => out.push_str(&format!(",\"seeds\":{n}")),
-            None => out.push_str(",\"seeds\":null"),
-        }
-        match self.overrides.pairs {
-            Some(p) => out.push_str(&format!(",\"pairs\":{p}")),
-            None => out.push_str(",\"pairs\":null"),
-        }
+        out.push(',');
+        self.overrides.push_json(&mut out);
         match &self.cache_dir {
             Some(dir) => {
                 out.push_str(",\"cache\":");
@@ -239,84 +208,48 @@ impl JobSpec {
     }
 }
 
-/// Messages the connection handlers feed the merge loop.
-enum Msg {
-    /// A shard connection was accepted.
-    Opened,
-    /// A chunk of `size` indices left the queue for a shard.
-    ChunkServed { size: usize },
-    /// One scenario's record came back.
-    Result {
-        shard: u32,
-        index: usize,
-        cache_hit: bool,
-        record: ScenarioRecord,
-    },
-    /// A shard reported its cache traffic (sent once, after `done`).
-    Stats { hits: u64, misses: u64, writes: u64 },
-    /// A connection ended (cleanly or not; unreturned indices are already
-    /// back on the queue).
-    Closed,
-}
-
-/// The coordinator side of a distributed sweep: owns the expanded grid, the
-/// work queue, the listener and (optionally) the result cache.
+/// The coordinator side of a distributed sweep: owns the listener, the
+/// shard brief and the sweep's [`Job`].
 pub struct Coordinator {
     listener: TcpListener,
-    scenarios: Vec<Scenario>,
-    job: JobSpec,
-    cache: Option<ResultCache>,
-    /// Cache hits found at bind time, pre-merged by submission index.
-    warm: BTreeMap<usize, ScenarioResult>,
-    /// Indices still needing execution, in submission order.
-    queue: VecDeque<usize>,
+    spec: JobSpec,
+    job: Job,
 }
 
 impl Coordinator {
-    /// Parses and expands the grid, opens the cache (probing it for every
-    /// cell — hits skip the queue entirely) and binds a loopback listener.
-    /// Nothing is served until [`Coordinator::run`].
+    /// Parses and expands the grid, builds the sweep's job (probing the
+    /// cache for every cell — hits skip the queue entirely) and binds a
+    /// loopback listener.  Nothing is served until [`Coordinator::run`].
     pub fn bind(
         grid_text: &str,
         overrides: GridOverrides,
         options: &DistOptions,
     ) -> Result<Coordinator, DistError> {
         let mut spec = GridSpec::parse(grid_text)?;
-        overrides.apply(&mut spec);
+        overrides.apply(&mut spec)?;
         let scenarios = spec.expand()?;
         let cache = match &options.cache_dir {
             Some(dir) => Some(ResultCache::open(dir)?),
             None => None,
         };
-        let mut warm = BTreeMap::new();
-        let mut queue = VecDeque::with_capacity(scenarios.len());
-        for (i, scenario) in scenarios.iter().enumerate() {
-            match cache.as_ref().and_then(|c| c.load_result(i, scenario)) {
-                Some(result) => {
-                    warm.insert(i, result);
-                }
-                None => queue.push_back(i),
-            }
-        }
-        let cache_dir = options
-            .cache_dir
-            .as_ref()
-            .map(|d| d.to_string_lossy().into_owned());
+        let threads = options.threads.max(1);
+        let expected = scenarios.len();
+        let job = Job::new(scenarios, Retention::Stream, threads, cache.as_ref());
         let listener = TcpListener::bind("127.0.0.1:0")?;
         Ok(Coordinator {
             listener,
-            job: JobSpec {
+            spec: JobSpec {
                 grid_text: grid_text.to_string(),
                 overrides,
                 shards: options.shards.max(1),
-                threads: options.threads.max(1),
-                cache_dir,
-                expected: scenarios.len(),
+                threads,
+                cache_dir: options
+                    .cache_dir
+                    .as_ref()
+                    .map(|d| d.to_string_lossy().into_owned()),
+                expected,
             },
-            scenarios,
-            cache,
-            warm,
-            queue,
+            job,
         })
     }
 
@@ -330,12 +263,12 @@ impl Coordinator {
     /// entirely from the cache without serving a single chunk — don't
     /// bother spawning shards.
     pub fn pending(&self) -> usize {
-        self.queue.len()
+        self.job.queued()
     }
 
     /// Total scenarios in the sweep.
     pub fn total(&self) -> usize {
-        self.scenarios.len()
+        self.job.total()
     }
 
     /// Serves the queue until every scenario has merged, invoking
@@ -347,267 +280,102 @@ impl Coordinator {
     pub fn run(self, mut progress: impl FnMut(FleetProgress)) -> Result<FleetReport, DistError> {
         let Coordinator {
             listener,
-            scenarios,
+            spec,
             job,
-            cache,
-            warm,
-            queue,
         } = self;
         let started = Instant::now();
-        let total = scenarios.len();
-        let probe_stats = cache.as_ref().map(ResultCache::stats);
-        let mut acc = ReportAccumulator::new(total, Retention::Stream);
-        let mut pending: BTreeMap<usize, (ScenarioResult, Option<u32>)> =
-            warm.into_iter().map(|(i, r)| (i, (r, None))).collect();
-        let mut next = 0usize;
-
-        let merge_ready = |pending: &mut BTreeMap<usize, (ScenarioResult, Option<u32>)>,
-                           next: &mut usize,
-                           acc: &mut ReportAccumulator,
-                           progress: &mut dyn FnMut(FleetProgress)| {
-            while let Some((result, shard)) = pending.remove(next) {
-                let completed = *next + 1;
-                let elapsed_ms = started.elapsed().as_millis() as u64;
-                let eta_ms = (completed >= 2)
-                    .then(|| elapsed_ms * (total - completed) as u64 / completed as u64);
-                let event = FleetProgress {
-                    index: result.index,
-                    name: result.scenario.name.clone(),
-                    completed,
-                    total,
-                    medium_kind: result.medium_kind,
-                    medium_counters: result.medium_counters().ok().copied(),
-                    summaries: result.summaries.clone(),
-                    elapsed_ms,
-                    eta_ms,
-                    shard,
-                    cache_hit: result.cache_hit(),
-                };
-                acc.absorb(result);
-                progress(event);
-                *next += 1;
-            }
-        };
-
-        // The fully-warm fast path: every cell came out of the cache at
-        // bind time, so there is no queue to serve and no reason to accept
-        // a single connection.
-        if queue.is_empty() {
-            merge_ready(&mut pending, &mut next, &mut acc, &mut progress);
-            debug_assert_eq!(next, total, "warm merge covers the whole sweep");
-            let mut report = acc.finish(job.threads, started.elapsed(), 0);
-            if probe_stats.is_some() {
-                // The bind-time probe is the only traffic this handle saw.
-                report.set_cache_stats(cache.as_ref().expect("probed").stats());
-            }
-            return Ok(report);
-        }
-
         let addr = listener.local_addr()?;
-        let queue = Mutex::new(queue);
+        let links = Links::default();
         let stop = AtomicBool::new(false);
-        let next_shard = AtomicU32::new(0);
-        let (tx, rx) = mpsc::channel::<Msg>();
-        let mut shard_stats = CacheStats::default();
-
-        let outcome = std::thread::scope(|scope| {
-            let acceptor = {
-                let job = &job;
-                let queue = &queue;
-                let stop = &stop;
-                let next_shard = &next_shard;
-                let tx = tx.clone();
+        std::thread::scope(|scope| {
+            // A fully-warm sweep merged at bind: nothing to serve, so no
+            // connection is ever accepted.
+            if job.queued() > 0 {
+                let (spec, job, links, stop) = (&spec, &job, &links, &stop);
                 scope.spawn(move || {
-                    let mut handlers = Vec::new();
-                    loop {
-                        let stream = match listener.accept() {
-                            Ok((stream, _)) => stream,
-                            Err(_) => break,
-                        };
-                        if stop.load(Ordering::SeqCst) {
-                            break;
+                    let next_shard = AtomicU32::new(0);
+                    std::thread::scope(|handlers| {
+                        for stream in listener.incoming() {
+                            if stop.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            let Ok(stream) = stream else { break };
+                            let shard = next_shard.fetch_add(1, Ordering::SeqCst);
+                            handlers.spawn(move || handle_shard(stream, shard, spec, job, links));
                         }
-                        let shard = next_shard.fetch_add(1, Ordering::SeqCst);
-                        let tx = tx.clone();
-                        handlers
-                            .push(scope.spawn(move || handle_shard(stream, shard, job, queue, tx)));
-                    }
-                    for handler in handlers {
-                        let _ = handler.join();
-                    }
-                })
+                    });
+                });
+            }
+            // However the loop below ends, stop serving: clear the queue so
+            // connected shards are told `done`, and unblock the acceptor
+            // with a throwaway self-connection.
+            let _stop = StopServing {
+                job: &job,
+                stop: &stop,
+                addr,
             };
-            drop(tx);
-
-            // The merge loop: reorder shard results into submission order,
-            // fold through the shared accumulator, account scheduler and
-            // cache activity.  Runs on the caller's thread so obs counters
-            // land where the sweep binaries harvest them.
-            let mut live = 0usize;
-            let mut ever_connected = false;
-            let mut last_activity = Instant::now();
-            let mut failure: Option<DistError> = None;
-            while next < total {
-                match rx.recv_timeout(Duration::from_millis(200)) {
-                    Ok(msg) => {
-                        last_activity = Instant::now();
-                        match msg {
-                            Msg::Opened => {
-                                live += 1;
-                                ever_connected = true;
-                            }
-                            Msg::Closed => live = live.saturating_sub(1),
-                            Msg::ChunkServed { size } => {
-                                quanto_obs::counter_add("sched.chunks_served", 1);
-                                quanto_obs::observe("sched.chunk_size", size as u64);
-                            }
-                            Msg::Stats {
-                                hits,
-                                misses,
-                                writes,
-                            } => {
-                                shard_stats.hits += hits;
-                                shard_stats.misses += misses;
-                                shard_stats.writes += writes;
-                            }
-                            Msg::Result {
-                                shard,
-                                index,
-                                cache_hit,
-                                record,
-                            } => {
-                                if index >= total || pending.contains_key(&index) || index < next {
-                                    // A duplicate (requeued chunk raced its
-                                    // dying first execution) — drop it; the
-                                    // first completion already merged or
-                                    // will merge.
-                                    continue;
-                                }
-                                match ScenarioResult::from_record(
-                                    index,
-                                    scenarios[index].clone(),
-                                    &record,
-                                    cache_hit,
-                                ) {
-                                    Some(result) => {
-                                        pending.insert(index, (result, Some(shard)));
-                                        merge_ready(
-                                            &mut pending,
-                                            &mut next,
-                                            &mut acc,
-                                            &mut progress,
-                                        );
-                                    }
-                                    None => {
-                                        // The record does not describe the
-                                        // scenario (shard bug or grid
-                                        // skew): put the cell back so a
-                                        // healthy shard re-runs it.
-                                        queue
-                                            .lock()
-                                            .unwrap_or_else(|p| p.into_inner())
-                                            .push_front(index);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        let grace = if ever_connected {
-                            ALL_DEAD_GRACE
-                        } else {
-                            FIRST_CONNECT_GRACE
-                        };
-                        if live == 0 && last_activity.elapsed() >= grace {
-                            failure = Some(DistError::ShardsDied {
-                                merged: next,
-                                total,
-                            });
-                            break;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        failure = Some(DistError::ShardsDied {
-                            merged: next,
-                            total,
-                        });
-                        break;
+            loop {
+                let (events, status) = job.wait(Duration::from_millis(200));
+                events.into_iter().for_each(&mut progress);
+                match status {
+                    JobStatus::Finished => return Ok(()),
+                    JobStatus::Running if !links.dead(started) => {}
+                    JobStatus::Running | JobStatus::Cancelled => {
+                        return Err(DistError::ShardsDied {
+                            merged: job.merged(),
+                            total: job.total(),
+                        })
                     }
                 }
             }
-
-            // Unblock the acceptor (a throwaway self-connection) and wait
-            // for every handler to finish before the scope closes.
-            stop.store(true, Ordering::SeqCst);
-            let _ = TcpStream::connect(addr);
-            let _ = acceptor.join();
-            // Drain any stragglers (final stats lines race the last merge).
-            for msg in rx.try_iter() {
-                if let Msg::Stats {
-                    hits,
-                    misses,
-                    writes,
-                } = msg
-                {
-                    shard_stats.hits += hits;
-                    shard_stats.misses += misses;
-                    shard_stats.writes += writes;
-                }
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        });
-        outcome?;
-
-        let mut report = acc.finish(job.threads, started.elapsed(), 0);
-        if let Some(probe) = probe_stats {
-            // Sweep-level cache accounting: the coordinator's bind-time
-            // probe decides hit vs miss per cell (a shard re-misses every
-            // cell the probe already declared a miss, so shard misses are
-            // dropped as double counting); shard hits (duplicate specs
-            // inside one sweep) and shard writes are additive.
-            report.set_cache_stats(CacheStats {
-                hits: probe.hits + shard_stats.hits,
-                misses: probe.misses,
-                writes: shard_stats.writes,
-            });
-        }
-        Ok(report)
+        })?;
+        Ok(job.take_report().expect("a finished job holds its report"))
     }
 }
 
-/// Pops the next chunk off the queue: guided self-scheduling, where every
-/// grab takes `1/(2 × shards)` of what remains (never less than one).  Big
-/// early chunks amortize protocol round-trips; the tail degenerates to
-/// single scenarios so no shard can hoard work it is too slow to finish.
-///
-/// Public because the chunk queue is a shared seam: the coordinator serves
-/// shard processes from one of these, and the `quanto-serve` daemon's fair
-/// scheduler serves its worker pool from one per job — the same adaptive
-/// shrink in both topologies.  `shards` is the claimant count the chunk
-/// size divides by (worker threads, for an in-process pool).
-pub fn take_chunk(queue: &Mutex<VecDeque<usize>>, shards: u32) -> Vec<usize> {
-    let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());
-    if q.is_empty() {
-        return Vec::new();
+/// Shard connections as the run loop's liveness check sees them: how many
+/// are open, and when that count last changed (`None` until the first
+/// shard connects).
+#[derive(Default)]
+struct Links(Mutex<(usize, Option<Instant>)>);
+
+impl Links {
+    fn change(&self, delta: isize) {
+        let mut links = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        links.0 = links.0.saturating_add_signed(delta);
+        links.1 = Some(Instant::now());
     }
-    let size = (q.len() / (2 * shards as usize)).max(1);
-    q.drain(..size).collect()
+
+    /// Whether the fleet is dead: no shard connected within
+    /// [`FIRST_CONNECT_GRACE`] of `started`, or none left open for
+    /// [`ALL_DEAD_GRACE`].
+    fn dead(&self, started: Instant) -> bool {
+        match *self.0.lock().unwrap_or_else(PoisonError::into_inner) {
+            (_, None) => started.elapsed() >= FIRST_CONNECT_GRACE,
+            (live, Some(changed)) => live == 0 && changed.elapsed() >= ALL_DEAD_GRACE,
+        }
+    }
+}
+
+/// Ends a coordinator run (see [`Coordinator::run`]) when dropped.
+struct StopServing<'a> {
+    job: &'a Job,
+    stop: &'a AtomicBool,
+    addr: SocketAddr,
+}
+
+impl Drop for StopServing<'_> {
+    fn drop(&mut self) {
+        self.job.cancel();
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 /// Serves one shard connection to completion.  Any protocol violation or
 /// lost connection returns the indices the shard still owed, which the
-/// caller pushes back onto the queue.
-fn serve_shard(
-    stream: TcpStream,
-    shard: u32,
-    job: &JobSpec,
-    queue: &Mutex<VecDeque<usize>>,
-    tx: &mpsc::Sender<Msg>,
-) -> Result<(), Vec<usize>> {
-    let broken = |owed: &[usize]| owed.to_vec();
+/// caller requeues.
+fn serve_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job) -> Result<(), Vec<usize>> {
     let mut reader = BufReader::new(stream.try_clone().map_err(|_| Vec::new())?);
     let mut writer = stream;
     let _worker_span = quanto_obs::span("worker");
@@ -616,9 +384,9 @@ fn serve_shard(
     if hello.get_str("t") != Some("hello") {
         return Err(Vec::new());
     }
-    write_line(&mut writer, &job.encode(shard)).map_err(|_| Vec::new())?;
+    write_line(&mut writer, &spec.encode(shard)).map_err(|_| Vec::new())?;
     let ready = read_msg(&mut reader).ok_or_else(Vec::new)?;
-    if ready.get_str("t") != Some("ready") || ready.get_u64("count") != Some(job.expected as u64) {
+    if ready.get_str("t") != Some("ready") || ready.get_u64("count") != Some(spec.expected as u64) {
         return Err(Vec::new());
     }
 
@@ -627,19 +395,12 @@ fn serve_shard(
         if msg.get_str("t") != Some("next") {
             return Err(Vec::new());
         }
-        let chunk = take_chunk(queue, job.shards);
+        let chunk = job.take_chunk(spec.shards);
         if chunk.is_empty() {
             write_line(&mut writer, "{\"t\":\"done\"}").map_err(|_| Vec::new())?;
-            // The shard flushes its cache stats (if any) and closes.
-            while let Some(tail) = read_msg(&mut reader) {
-                if tail.get_str("t") == Some("stats") {
-                    let _ = tx.send(Msg::Stats {
-                        hits: tail.get_u64("hits").unwrap_or(0),
-                        misses: tail.get_u64("misses").unwrap_or(0),
-                        writes: tail.get_u64("writes").unwrap_or(0),
-                    });
-                }
-            }
+            // The shard flushes its cache stats (if any) and closes; the
+            // report counts cache traffic from the merged cells instead.
+            while read_msg(&mut reader).is_some() {}
             return Ok(());
         }
         let mut line = String::from("{\"t\":\"chunk\",\"indices\":[");
@@ -650,8 +411,11 @@ fn serve_shard(
             line.push_str(&index.to_string());
         }
         line.push_str("]}");
-        write_line(&mut writer, &line).map_err(|_| broken(&chunk))?;
-        let _ = tx.send(Msg::ChunkServed { size: chunk.len() });
+        if write_line(&mut writer, &line).is_err() {
+            return Err(chunk);
+        }
+        quanto_obs::counter_add("sched.chunks_served", 1);
+        quanto_obs::observe("sched.chunk_size", chunk.len() as u64);
 
         // The chunk round-trip is the shard's busy time from where the
         // coordinator stands — spanned so shard utilization shows up in
@@ -659,13 +423,14 @@ fn serve_shard(
         let _chunk_span = quanto_obs::span_with("scenario", "chunk");
         let mut owed = chunk;
         for _ in 0..owed.len() {
-            let msg = read_msg(&mut reader).ok_or_else(|| broken(&owed))?;
+            let Some(msg) = read_msg(&mut reader) else {
+                return Err(owed);
+            };
             if msg.get_str("t") != Some("result") {
                 return Err(owed);
             }
-            let index = match msg.get_u64("index").map(|i| i as usize) {
-                Some(i) => i,
-                None => return Err(owed),
+            let Some(index) = msg.get_u64("index").map(|i| i as usize) else {
+                return Err(owed);
             };
             let Some(slot) = owed.iter().position(|&i| i == index) else {
                 return Err(owed);
@@ -678,17 +443,15 @@ fn serve_shard(
                 .and_then(Value::as_bool)
                 .unwrap_or(false);
             owed.swap_remove(slot);
-            if tx
-                .send(Msg::Result {
-                    shard,
-                    index,
-                    cache_hit,
-                    record,
-                })
-                .is_err()
-            {
-                // Merge loop is gone (run aborted): nothing left to serve.
-                return Err(owed);
+            let scenario = job.scenario(index).expect("owed indices are in range");
+            match ScenarioResult::from_record(index, scenario.clone(), &record, cache_hit) {
+                Some(result) => {
+                    job.deliver(result, Some(shard));
+                }
+                // The record does not describe the scenario (shard bug or
+                // grid skew): put the cell back so a healthy shard re-runs
+                // it.
+                None => job.requeue(&[index]),
             }
         }
     }
@@ -696,30 +459,22 @@ fn serve_shard(
 
 /// One connection handler: label the thread for the obs profile, serve,
 /// requeue whatever the shard still owed, account the connection.
-fn handle_shard(
-    stream: TcpStream,
-    shard: u32,
-    job: &JobSpec,
-    queue: &Mutex<VecDeque<usize>>,
-    tx: mpsc::Sender<Msg>,
-) {
+fn handle_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job, links: &Links) {
     quanto_obs::set_thread_label(&format!("shard-{shard}"));
-    let _ = tx.send(Msg::Opened);
-    if let Err(owed) = serve_shard(stream, shard, job, queue, &tx) {
-        let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());
+    links.change(1);
+    if let Err(owed) = serve_shard(stream, shard, spec, job) {
         // Front of the queue, original order: a surviving shard picks the
         // orphaned work up next, and submission-order merging is untouched.
-        for index in owed.into_iter().rev() {
-            q.push_front(index);
-        }
+        job.requeue(&owed);
     }
-    let _ = tx.send(Msg::Closed);
+    links.change(-1);
     quanto_obs::flush_thread();
 }
 
-/// The shard side: dial the coordinator, re-expand the job's grid, then
-/// claim and execute chunks until told `done`.  Runs in a `fleet_sweep
-/// --shard ADDR` process (or an in-process thread, in tests).
+/// The shard side: dial the coordinator, re-expand the job's grid, start a
+/// pool of the job's `threads` workers, then claim chunks and run each as
+/// a job on that pool until told `done`.  Runs in a `fleet_sweep --shard
+/// ADDR` process (or an in-process thread, in tests).
 pub fn run_shard(addr: &str) -> Result<(), DistError> {
     let stream = TcpStream::connect(addr)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -739,19 +494,7 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
     let grid_text = job
         .get_str("grid")
         .ok_or_else(|| protocol("job without grid text"))?;
-    let overrides = GridOverrides {
-        seconds: job
-            .get_opt_u64("seconds")
-            .ok_or_else(|| protocol("bad seconds override"))?
-            .map(f64::from_bits),
-        seed_count: job
-            .get_opt_u64("seeds")
-            .ok_or_else(|| protocol("bad seeds override"))?,
-        pairs: job
-            .get_opt_u64("pairs")
-            .ok_or_else(|| protocol("bad pairs override"))?
-            .map(|p| p as u16),
-    };
+    let overrides = GridOverrides::from_json(&job).map_err(protocol)?;
     let threads = job
         .get_u64("threads")
         .ok_or_else(|| protocol("job without threads"))? as usize;
@@ -765,7 +508,7 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
     };
 
     let mut spec = GridSpec::parse(grid_text)?;
-    overrides.apply(&mut spec);
+    overrides.apply(&mut spec)?;
     let scenarios = spec.expand()?;
     if scenarios.len() != expected {
         return Err(protocol(format!(
@@ -778,12 +521,37 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
         &format!("{{\"t\":\"ready\",\"count\":{}}}", scenarios.len()),
     )?;
 
-    let runner = FleetRunner::new(threads);
+    // A shard never runs more cells at once than its sweep has.
+    let workers = threads.clamp(1, scenarios.len().max(1));
+    WorkerPool::scoped(workers, cache.as_ref(), |pool| {
+        run_chunks(pool, &scenarios, &mut reader, &mut writer)
+    })?;
+    if let Some(cache) = &cache {
+        let s = cache.stats();
+        write_line(
+            &mut writer,
+            &format!(
+                "{{\"t\":\"stats\",\"hits\":{},\"misses\":{},\"writes\":{}}}",
+                s.hits, s.misses, s.writes
+            ),
+        )?;
+    }
+    Ok(())
+}
+
+/// The shard's work loop: claim a chunk, run it as a job on `pool`, return
+/// its records; until the coordinator says `done`.
+fn run_chunks(
+    pool: &WorkerPool,
+    scenarios: &[Scenario],
+    reader: &mut BufReader<TcpStream>,
+    writer: &mut TcpStream,
+) -> Result<(), DistError> {
     loop {
-        write_line(&mut writer, "{\"t\":\"next\"}")?;
-        let msg = read_msg(&mut reader).ok_or_else(|| protocol("coordinator hung up"))?;
+        write_line(writer, "{\"t\":\"next\"}")?;
+        let msg = read_msg(reader).ok_or_else(|| protocol("coordinator hung up"))?;
         match msg.get_str("t") {
-            Some("done") => break,
+            Some("done") => return Ok(()),
             Some("chunk") => {
                 let indices = msg
                     .get("indices")
@@ -798,7 +566,11 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
                     .map(|&i| scenarios.get(i).cloned())
                     .collect::<Option<Vec<_>>>()
                     .ok_or_else(|| protocol("chunk index out of range"))?;
-                let report = runner.run_cached(batch, cache.as_ref());
+                // The cache is the pool's: its workers probe and write back
+                // each cell as they execute it.
+                let job = Arc::new(Job::new(batch, Retention::Stream, pool.workers(), None));
+                pool.submit(job.clone());
+                let report = job.finish_with(|_| {});
                 for (position, result) in report.results.iter().enumerate() {
                     let mut line = String::with_capacity(256);
                     line.push_str(&format!(
@@ -808,23 +580,12 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
                     ));
                     line.push_str(&result.to_record().encode());
                     line.push('}');
-                    write_line(&mut writer, &line)?;
+                    write_line(writer, &line)?;
                 }
             }
             _ => return Err(protocol("expected chunk or done")),
         }
     }
-    if let Some(cache) = &cache {
-        let s = cache.stats();
-        write_line(
-            &mut writer,
-            &format!(
-                "{{\"t\":\"stats\",\"hits\":{},\"misses\":{},\"writes\":{}}}",
-                s.hits, s.misses, s.writes
-            ),
-        )?;
-    }
-    Ok(())
 }
 
 /// Spawns `options.shards` local shard processes of `exe` (each invoked
@@ -864,23 +625,6 @@ pub fn run_sweep_spawned(
     outcome
 }
 
-/// Reads one protocol line; `None` on EOF, i/o failure or a line that is
-/// not a JSON object from the wire subset.
-fn read_msg(reader: &mut BufReader<TcpStream>) -> Option<Value> {
-    let mut line = String::new();
-    if reader.read_line(&mut line).ok()? == 0 {
-        return None;
-    }
-    let value = Value::parse(line.trim_end())?;
-    matches!(value, Value::Obj(_)).then_some(value)
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -914,25 +658,5 @@ mod tests {
         assert_eq!(v.get_opt_u64("seeds"), Some(Some(4)));
         assert_eq!(v.get_opt_u64("pairs"), Some(None));
         assert_eq!(v.get_str("cache"), Some("/tmp/with \"quotes\""));
-    }
-
-    #[test]
-    fn guided_chunks_shrink_toward_the_tail() {
-        let queue = Mutex::new((0..100).collect::<VecDeque<usize>>());
-        let mut sizes = Vec::new();
-        loop {
-            let chunk = take_chunk(&queue, 2);
-            if chunk.is_empty() {
-                break;
-            }
-            sizes.push(chunk.len());
-        }
-        assert_eq!(sizes.iter().sum::<usize>(), 100, "every index served once");
-        assert_eq!(sizes[0], 25, "first grab takes remaining/(2×shards)");
-        assert!(
-            sizes.windows(2).all(|w| w[1] <= w[0]),
-            "chunks never grow: {sizes:?}"
-        );
-        assert_eq!(*sizes.last().unwrap(), 1, "the tail is single scenarios");
     }
 }

@@ -119,6 +119,53 @@ impl fmt::Display for GridError {
 
 impl std::error::Error for GridError {}
 
+/// The numeric sweep overrides (`--seconds`, `--seeds`, `--stress PAIRS`):
+/// what `fleet_sweep` applies to a grid, and what the dist `job` message
+/// and the serve `submit` request carry (their one wire codec lives in
+/// [`crate::wire`]), so every consumer expands the same scenarios.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct GridOverrides {
+    /// Replaces the grid-level default duration (cells with their own
+    /// `seconds` keep them).
+    pub seconds: Option<f64>,
+    /// Replaces every non-empty seed axis with `1..=n`.
+    pub seed_count: Option<u64>,
+    /// Replaces every bounce-pairs cell's pair count.
+    pub pairs: Option<u16>,
+}
+
+impl GridOverrides {
+    /// Applies the overrides to a parsed grid, in the fixed order every
+    /// consumer shares.  Refuses what the CLI refuses, before touching the
+    /// grid: `seconds` must be finite and positive, `seeds` at least 1 and
+    /// `pairs` in `1..=32767`.
+    pub fn apply(&self, spec: &mut GridSpec) -> Result<(), GridError> {
+        if let Some(seconds) = self.seconds.filter(|s| !(s.is_finite() && *s > 0.0)) {
+            return Err(GridError::general(format!(
+                "seconds override must be finite and positive, got {seconds}"
+            )));
+        }
+        if self.seed_count == Some(0) {
+            return Err(GridError::general("seeds override must be at least 1"));
+        }
+        if let Some(pairs) = self.pairs.filter(|p| !(1..=32767).contains(p)) {
+            return Err(GridError::general(format!(
+                "pairs override must be in 1..=32767, got {pairs}"
+            )));
+        }
+        if let Some(seconds) = self.seconds {
+            spec.override_seconds(seconds);
+        }
+        if let Some(n) = self.seed_count {
+            spec.override_seed_count(n);
+        }
+        if let Some(pairs) = self.pairs {
+            spec.override_pairs(pairs);
+        }
+        Ok(())
+    }
+}
+
 /// Which application a cell runs — the grid-level mirror of
 /// [`crate::AppSpec`], carrying the knobs the axes do not cover.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,10 +11,14 @@
 //! * [`GridSpec`] — a plain-data sweep-grid description (axes of seeds ×
 //!   channels × mediums × durations crossed with app specs), parseable from
 //!   a simple config file, that expands to a scenario batch;
-//! * [`FleetRunner`] — shards an arbitrary batch of scenarios across worker
-//!   threads (each worker drives its own independent `os_sim::Engine`),
-//!   streams completions through a merge loop that folds the digest, and
-//!   emits per-scenario [`FleetProgress`] events mid-sweep.  Every scenario
+//! * [`Job`] — one sweep's scheduling state: claim queue, reorder buffer,
+//!   digest fold, cache stats and per-scenario [`FleetProgress`] events.
+//!   Every topology is a job plus an executor: the in-process
+//!   [`WorkerPool`] (also the `quanto-serve` daemon's and each dist
+//!   shard's), or the [`dist`] coordinator serving shard processes;
+//! * [`FleetRunner`] — runs an arbitrary batch of scenarios as one job, on
+//!   a pool of worker threads (each worker drives its own independent
+//!   `os_sim::Engine`) or inline on the calling thread.  Every scenario
 //!   runs on one path that feeds each node's log through a
 //!   [`quanto_core::LogSink`] → incremental-builder chain *during* the run,
 //!   so by default ([`Retention::Stream`]) raw logs are never materialized;
@@ -47,6 +51,8 @@
 pub mod cache;
 pub mod dist;
 pub mod grid;
+pub mod job;
+pub mod pool;
 mod record;
 pub mod report;
 pub mod runner;
@@ -54,16 +60,18 @@ pub mod scenario;
 pub mod wire;
 pub mod workspace;
 
-pub use grid::{GridError, GridSpec};
+pub use grid::{GridError, GridOverrides, GridSpec};
+pub use job::{FleetProgress, Job, JobStatus};
+pub use pool::WorkerPool;
 
 pub use cache::{CacheStats, ResultCache, CACHE_FORMAT_VERSION};
-pub use dist::{Coordinator, DistError, DistOptions, GridOverrides};
+pub use dist::{Coordinator, DistError, DistOptions};
 pub use net_sim::DeliveryCounters;
 pub use report::{
     CounterAccessError, FleetReport, NodeStreamMeta, NodeSummary, RawAccessError,
     RawScenarioOutputs, ReportAccumulator, ScenarioResult,
 };
-pub use runner::{execute_or_cached_in, FleetProgress, FleetRunner, Retention};
+pub use runner::{execute_or_cached_in, FleetRunner, Retention};
 pub use scenario::{
     AppSpec, GeometrySpec, MediumSpec, PathLossSpec, Scenario, TopologySpec, TraceSpec,
     SPEC_DIGEST_VERSION,

@@ -38,7 +38,6 @@ use os_sim::NodeRunOutput;
 use quanto_apps::ExperimentContext;
 use quanto_core::{Fnv, LogEncoding, LogEntry, LogSink, NodeId, Stamp, StreamDigest, VecSink};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -905,8 +904,6 @@ pub struct FleetReport {
     pub wall_clock: std::time::Duration,
     /// The stream digest, folded in submission order during the merge.
     digest: u64,
-    /// Scenario name → index into `results`, built at merge time.
-    by_name: HashMap<String, usize>,
     /// High-water mark of raw log entries held at once during the run.
     peak_entries_held: u64,
     /// Total raw log entries across every scenario of the batch.
@@ -917,9 +914,10 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Looks a result up by scenario name (O(1) — indexed at merge time).
+    /// Looks a result up by scenario name (the first submission wins on
+    /// duplicate names).
     pub fn result(&self, name: &str) -> Option<&ScenarioResult> {
-        self.by_name.get(name).map(|&i| &self.results[i])
+        self.results.iter().find(|r| r.scenario.name == name)
     }
 
     /// Consumes the report, returning the results in submission order.
@@ -1039,27 +1037,37 @@ impl FleetReport {
             )),
             None => out.push_str("\"cache\":null,"),
         }
-        out.push_str("\"results\":[");
-        for (i, r) in self.results.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&scenario_json(
-                r.index,
-                &r.scenario.name,
-                r.medium_kind,
-                r.medium_counters.as_ref(),
-                &r.summaries,
-                r.cache_hit,
-            ));
-        }
-        out.push_str("]}");
+        out.push_str("\"results\":");
+        out.push_str(&results_json(&self.results));
+        out.push('}');
         out
     }
 }
 
+/// The `results` array of [`FleetReport::summary_json`] over `results` —
+/// also what a `quanto-serve` partial query renders over a job's merged
+/// prefix, so the two agree byte for byte.
+pub(crate) fn results_json(results: &[ScenarioResult]) -> String {
+    let mut out = String::from("[");
+    for (i, r) in results.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&scenario_json(
+            r.index,
+            &r.scenario.name,
+            r.medium_kind,
+            r.medium_counters.as_ref(),
+            &r.summaries,
+            r.cache_hit,
+        ));
+    }
+    out.push(']');
+    out
+}
+
 /// JSON for one scenario's summaries — shared by [`FleetReport::summary_json`]
-/// and the runner's progress events.  `counters` is `null` for mediums that
+/// and the progress events.  `counters` is `null` for mediums that
 /// do not track delivery.
 pub(crate) fn scenario_json(
     index: usize,
@@ -1144,7 +1152,7 @@ pub(crate) fn json_escape(s: &str) -> String {
 /// This is *the* determinism seam of the sweep subsystem: every execution
 /// topology — the in-process [`crate::FleetRunner`], the multi-process
 /// [`crate::dist`] coordinator, and the `quanto-serve` daemon — folds its
-/// results through one of these, in submission order, so
+/// results through the one in its [`crate::Job`], in submission order, so
 /// [`FleetReport::digest`] is byte-identical however the scenarios were
 /// scheduled.  Feed it with [`ReportAccumulator::absorb`] strictly in
 /// submission-index order (a reorder buffer is the caller's job) and close
@@ -1152,7 +1160,6 @@ pub(crate) fn json_escape(s: &str) -> String {
 pub struct ReportAccumulator {
     hasher: Fnv,
     results: Vec<ScenarioResult>,
-    by_name: HashMap<String, usize>,
     total_log_entries: u64,
 }
 
@@ -1167,7 +1174,6 @@ impl ReportAccumulator {
         ReportAccumulator {
             hasher,
             results: Vec::with_capacity(expected),
-            by_name: HashMap::with_capacity(expected),
             total_log_entries: 0,
         }
     }
@@ -1177,12 +1183,12 @@ impl ReportAccumulator {
         debug_assert_eq!(result.index, self.results.len(), "merge order violated");
         result.fold_stream_digest(&mut self.hasher);
         self.total_log_entries += result.total_entries();
-        // First submission wins on duplicate names, matching the linear
-        // scan's find() semantics.
-        self.by_name
-            .entry(result.scenario.name.clone())
-            .or_insert(self.results.len());
         self.results.push(result);
+    }
+
+    /// The results merged so far, in submission order.
+    pub(crate) fn results(&self) -> &[ScenarioResult] {
+        &self.results
     }
 
     /// Raw log entries the merged results hold (zero unless they ran under
@@ -1210,7 +1216,6 @@ impl ReportAccumulator {
             threads,
             wall_clock,
             digest: self.hasher.finish(),
-            by_name: self.by_name,
             peak_entries_held,
             total_log_entries: self.total_log_entries,
             cache: None,

@@ -1,103 +1,31 @@
-//! The fleet runner: shards a scenario batch across worker threads.
+//! The fleet runner: executes a scenario batch on the calling thread or
+//! across worker threads.
 //!
 //! Scenarios are independent simulations (each worker builds its own
-//! [`os_sim::Engine`] from the plain-data [`Scenario`]), so the only shared
-//! state is the work queue — an atomic cursor over the batch — and an mpsc
-//! channel from the workers to the merge loop.  The merge loop reorders
-//! completions into submission order, folds the report digest and emits a
-//! progress event per scenario.  Every worker feeds the analysis through
-//! per-node log sinks during the run; the [`Retention`] mode only decides
-//! whether a collecting tap also keeps each log ([`Retention::Raw`]) or
-//! nothing is kept at all (the default [`Retention::Stream`]).  A
-//! backpressure window keeps workers from racing more than ~2 × `threads`
-//! scenarios ahead of the merge watermark, so the reorder buffer is bounded
-//! by the window — not by the batch size, and not by scheduler-induced
-//! skew.  Submission-order merging together with fully-seeded scenarios
-//! makes a fleet run bit-reproducible at any thread count.
+//! [`os_sim::Engine`] from the plain-data [`Scenario`]), so a run is one
+//! [`Job`]: workers claim cells from its queue and deliver results, and the
+//! job reorders completions into submission order, folds the report digest
+//! and queues a progress event per scenario.  A multi-worker run is that
+//! job on a [`WorkerPool`] scoped to the run, whose backpressure window
+//! bounds the reorder buffer by the worker count, not by the batch size or
+//! by scheduler-induced skew; the calling thread hands the job's events to
+//! `progress`.  A one-worker run is the same job on an inline executor:
+//! the calling thread claims, executes and merges, which is the reference
+//! execution order.  Every worker feeds the analysis through per-node log
+//! sinks during the run; the [`Retention`] mode only decides whether a
+//! collecting tap also keeps each log ([`Retention::Raw`]) or nothing is
+//! kept at all (the default [`Retention::Stream`]).  Submission-order
+//! merging together with fully-seeded scenarios makes a fleet run
+//! bit-reproducible at any thread count.
 
-use crate::cache::{CacheStats, ResultCache};
-use crate::report::{scenario_json, FleetReport, NodeSummary, ReportAccumulator, ScenarioResult};
+use crate::cache::ResultCache;
+use crate::job::{FleetProgress, Job};
+use crate::pool::WorkerPool;
+use crate::report::{FleetReport, ScenarioResult};
 use crate::scenario::Scenario;
 use crate::workspace::SimWorkspace;
-use net_sim::DeliveryCounters;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::Instant;
-
-/// One scenario's worth of incremental progress, emitted by the merge loop
-/// in submission order as a sweep advances.
-#[derive(Debug, Clone)]
-pub struct FleetProgress {
-    /// Submission index of the scenario that just merged.
-    pub index: usize,
-    /// Its name.
-    pub name: String,
-    /// Scenarios merged so far, including this one.
-    pub completed: usize,
-    /// Total scenarios in the batch.
-    pub total: usize,
-    /// The medium kind the scenario ran under.
-    pub medium_kind: &'static str,
-    /// The medium's delivery counters, when it tracks them.
-    pub medium_counters: Option<DeliveryCounters>,
-    /// The scenario's per-node summaries.
-    pub summaries: Vec<NodeSummary>,
-    /// Wall-clock milliseconds since the batch started.
-    pub elapsed_ms: u64,
-    /// Naive remaining-time estimate, extrapolated from the merged-scenario
-    /// rate: `elapsed / completed × (total − completed)`.  `None` until at
-    /// least two scenarios have merged (one sample is no trend).
-    pub eta_ms: Option<u64>,
-    /// Which shard process executed the scenario; `None` on in-process runs.
-    pub shard: Option<u32>,
-    /// Whether the scenario was answered from the result cache instead of
-    /// simulated.
-    pub cache_hit: bool,
-}
-
-impl FleetProgress {
-    /// This progress event as one machine-readable JSON line (the same
-    /// per-scenario shape `FleetReport::summary_json` uses, plus the
-    /// completed/total counters and elapsed/ETA timings).
-    pub fn to_json(&self) -> String {
-        let eta = match self.eta_ms {
-            Some(ms) => ms.to_string(),
-            None => "null".to_string(),
-        };
-        let shard = match self.shard {
-            Some(s) => s.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"completed\":{},\"total\":{},\"elapsed_ms\":{},\"eta_ms\":{},\
-             \"shard\":{},\"cache_hit\":{},\"result\":{}}}",
-            self.completed,
-            self.total,
-            self.elapsed_ms,
-            eta,
-            shard,
-            self.cache_hit,
-            self.result_json()
-        )
-    }
-
-    /// Just this scenario's result object — the exact string
-    /// [`crate::FleetReport::summary_json`] places in its `results` array
-    /// for the same scenario.  The serve daemon's partial-result store
-    /// keeps these, so a mid-sweep partial query returns a byte-exact
-    /// prefix of the final summary document's `results`.
-    pub fn result_json(&self) -> String {
-        scenario_json(
-            self.index,
-            &self.name,
-            self.medium_kind,
-            self.medium_counters.as_ref(),
-            &self.summaries,
-            self.cache_hit,
-        )
-    }
-}
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// What a fleet run keeps of each scenario's raw data.  Both modes run the
 /// same simulation and fold the same [`crate::FleetReport::digest`].
@@ -211,200 +139,47 @@ impl FleetRunner {
     /// carries `cache_hit`); every freshly-simulated scenario is written
     /// back.  The cache only engages under [`Retention::Stream`] — a record
     /// holds no log, so [`Retention::Raw`] never reads or writes it — and
-    /// the report is stamped with this run's hit/miss/write deltas.
+    /// the report is stamped with the run's cache stats.
     pub fn run_with_progress_cached(
         &self,
         scenarios: Vec<Scenario>,
         cache: Option<&ResultCache>,
         mut progress: impl FnMut(FleetProgress),
     ) -> FleetReport {
-        let stats_before = cache.map(ResultCache::stats);
-        let started = Instant::now();
-        let total = scenarios.len();
-        let workers = self.threads.min(total.max(1));
-        let retention = self.retention;
-        let mut acc = ReportAccumulator::new(total, retention);
-
-        let merge = |result: ScenarioResult,
-                     acc: &mut ReportAccumulator,
-                     progress: &mut dyn FnMut(FleetProgress)| {
-            let completed = result.index + 1;
-            let elapsed_ms = started.elapsed().as_millis() as u64;
-            let eta_ms = (completed >= 2)
-                .then(|| elapsed_ms * (total - completed) as u64 / completed as u64);
-            let event = FleetProgress {
-                index: result.index,
-                name: result.scenario.name.clone(),
-                completed,
-                total,
-                medium_kind: result.medium_kind,
-                medium_counters: result.medium_counters().ok().copied(),
-                summaries: result.summaries.clone(),
-                elapsed_ms,
-                eta_ms,
-                shard: None,
-                cache_hit: result.cache_hit(),
-            };
-            acc.absorb(result);
-            progress(event);
+        let workers = self.threads.min(scenarios.len().max(1));
+        let job = Arc::new(Job::new(scenarios, self.retention, workers, cache));
+        if workers > 1 {
+            return WorkerPool::scoped(workers, cache, |pool| {
+                pool.submit(job.clone());
+                pool.close();
+                job.finish_with(progress)
+            });
+        }
+        // The inline executor: claim, execute and merge on this thread.
+        quanto_obs::set_thread_label("worker-0");
+        let worker_span = quanto_obs::span("worker");
+        let mut ws = SimWorkspace::new();
+        let mut emit = || {
+            let (events, _) = job.wait(Duration::ZERO);
+            events.into_iter().for_each(&mut progress);
         };
-
-        if workers <= 1 {
-            quanto_obs::set_thread_label("worker-0");
-            let worker_span = quanto_obs::span("worker");
-            let mut ws = SimWorkspace::new();
-            for (i, s) in scenarios.into_iter().enumerate() {
-                let result = execute_or_cached_in(i, s, retention, cache, &mut ws);
-                let _merge_span = quanto_obs::span("merge");
-                merge(result, &mut acc, &mut progress);
+        // Warm cells merged when the job was built.
+        emit();
+        loop {
+            let chunk = job.take_chunk(1);
+            if chunk.is_empty() {
+                break;
             }
-            drop(worker_span);
-            quanto_obs::flush_thread();
-        } else {
-            // Backpressure window: a worker may not *start* scenario `i`
-            // until fewer than `window` scenarios separate it from the merge
-            // watermark.  Without this, a preempted worker (common on
-            // oversubscribed or single-CPU hosts) lets its peers race
-            // arbitrarily far ahead, and the reorder buffer — which must
-            // hold results until the digest folds in submission order —
-            // grows with the skew instead of the thread count.  The worker
-            // owning the lowest unmerged index is never blocked (its index
-            // equals the watermark), so the window cannot deadlock — and if
-            // any thread panics, its `WakeOnUnwind` guard raises the abort
-            // flag and wakes every parked waiter, so the panic propagates
-            // out of `thread::scope` instead of hanging the run.
-            let window = (2 * workers).max(8);
-            let cursor = AtomicUsize::new(0);
-            // Lock-free mirror of `MergeGate::merged`: workers comfortably
-            // inside the window check this and never touch the gate mutex —
-            // the common case on balanced sweeps, and the handoff that used
-            // to serialize workers against the merge loop on small hosts.
-            let watermark = AtomicUsize::new(0);
-            let gate = Mutex::new(MergeGate {
-                merged: 0,
-                waiters: 0,
-                abort: false,
-            });
-            let advanced = Condvar::new();
-            let (tx, rx) = mpsc::channel::<ScenarioResult>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    let cursor = &cursor;
-                    let scenarios = &scenarios;
-                    let gate = &gate;
-                    let advanced = &advanced;
-                    let watermark = &watermark;
-                    scope.spawn(move || {
-                        quanto_obs::set_thread_label(&format!("worker-{w}"));
-                        let _wake = WakeOnUnwind { gate, advanced };
-                        let mut ws = SimWorkspace::new();
-                        {
-                            let _worker_span = quanto_obs::span("worker");
-                            loop {
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                if i >= total {
-                                    break;
-                                }
-                                // Fast path: inside the window per the
-                                // atomic watermark — no lock.  (A stale read
-                                // only under-approximates `merged`, so it
-                                // can never admit an out-of-window start.)
-                                if i >= watermark.load(Ordering::Acquire) + window {
-                                    let mut g = gate.lock().unwrap_or_else(|p| p.into_inner());
-                                    if i >= g.merged + window && !g.abort {
-                                        // Only an actual wait opens a stall
-                                        // span — an open gate costs nothing.
-                                        let _stall_span = quanto_obs::span("stall");
-                                        quanto_obs::counter_add("runner.backpressure_stalls", 1);
-                                        g.waiters += 1;
-                                        while i >= g.merged + window && !g.abort {
-                                            g = advanced.wait(g).unwrap_or_else(|p| p.into_inner());
-                                        }
-                                        g.waiters -= 1;
-                                    }
-                                    if g.abort {
-                                        break;
-                                    }
-                                }
-                                let result = execute_or_cached_in(
-                                    i,
-                                    scenarios[i].clone(),
-                                    retention,
-                                    cache,
-                                    &mut ws,
-                                );
-                                // The send wakes a parked receiver, which is
-                                // where the scheduler preempts oversubscribed
-                                // workers — span it so worker wall-clock
-                                // still reconciles on small hosts.
-                                let _send_span = quanto_obs::span("send");
-                                if tx.send(result).is_err() {
-                                    break;
-                                }
-                            }
-                        }
-                        // `thread::scope` returns before TLS destructors run,
-                        // so the dump must be flushed explicitly — otherwise
-                        // the harvest races the worker's TLS teardown.
-                        quanto_obs::flush_thread();
-                    });
-                }
-                drop(tx);
-                // If the merge loop unwinds (a panicking `progress`
-                // callback), wake the parked workers so the scope can join.
-                let _wake = WakeOnUnwind {
-                    gate: &gate,
-                    advanced: &advanced,
-                };
-                // The merge loop: reorder completions into submission order,
-                // fold, report, drop, advance the watermark.
-                let mut pending: BTreeMap<usize, ScenarioResult> = BTreeMap::new();
-                let mut next = 0usize;
-                for result in rx {
-                    pending.insert(result.index, result);
-                    quanto_obs::observe("runner.reorder_window_occupancy", pending.len() as u64);
-                    let before = next;
-                    let _merge_span = quanto_obs::span("merge");
-                    while let Some(result) = pending.remove(&next) {
-                        merge(result, &mut acc, &mut progress);
-                        next += 1;
-                    }
-                    if next != before {
-                        // Publish the watermark lock-free first (workers'
-                        // fast path), then update the gate — and only pay
-                        // the notify syscall when someone is actually
-                        // parked on the window.
-                        watermark.store(next, Ordering::Release);
-                        let wake = {
-                            let mut g = gate.lock().unwrap_or_else(|p| p.into_inner());
-                            g.merged = next;
-                            g.waiters > 0
-                        };
-                        if wake {
-                            quanto_obs::counter_add("runner.merge_wakeups", 1);
-                            advanced.notify_all();
-                        }
-                    }
-                }
-                let aborted = gate.lock().unwrap_or_else(|p| p.into_inner()).abort;
-                assert!(
-                    aborted || pending.is_empty(),
-                    "every submitted scenario merges"
-                );
-            });
+            for index in chunk {
+                let result = job.execute(index, cache, &mut ws);
+                let _merge_span = quanto_obs::span("merge");
+                job.deliver(result, None);
+                emit();
+            }
         }
-        let held = acc.entries_held();
-        let mut report = acc.finish(workers, started.elapsed(), held);
-        if let (Some(cache), Some(before)) = (cache, stats_before) {
-            let after = cache.stats();
-            report.set_cache_stats(CacheStats {
-                hits: after.hits - before.hits,
-                misses: after.misses - before.misses,
-                writes: after.writes - before.writes,
-            });
-        }
-        report
+        drop(worker_span);
+        quanto_obs::flush_thread();
+        job.finish_with(progress)
     }
 }
 
@@ -416,9 +191,9 @@ impl FleetRunner {
 /// scenarios allocates like it ran one — pooling recycles capacity, never
 /// state.
 ///
-/// Public because it is the execution seam every sweep scheduler shares:
-/// the in-process runner's workers, the dist shards (via their own
-/// `FleetRunner`) and the `quanto-serve` daemon's pool all produce their
+/// Public because it is the execution seam every executor shares: the
+/// runner's inline executor and every [`WorkerPool`] worker (the runner's,
+/// a dist shard's and the `quanto-serve` daemon's) produce their
 /// per-scenario results through exactly this call, which is what makes
 /// their digests byte-identical.
 pub fn execute_or_cached_in(
@@ -430,7 +205,7 @@ pub fn execute_or_cached_in(
 ) -> ScenarioResult {
     match (retention, cache) {
         (Retention::Stream, Some(cache)) => {
-            if let Some(result) = cache.load_result(index, &scenario) {
+            if let Some(result) = cache.probe(index, &scenario) {
                 return result;
             }
             let result = ScenarioResult::execute_streaming_in(index, scenario, ws);
@@ -446,38 +221,6 @@ pub fn execute_or_cached_in(
 impl Default for FleetRunner {
     fn default() -> Self {
         FleetRunner::host_parallel()
-    }
-}
-
-/// The backpressure gate the merge loop advances and workers wait on.
-struct MergeGate {
-    /// Scenarios merged so far (the next index to merge).
-    merged: usize,
-    /// Workers currently parked on the window — lets the merge loop skip
-    /// the notify syscall entirely when nobody is waiting (the common case).
-    waiters: usize,
-    /// Raised when any thread unwinds, so parked waiters exit instead of
-    /// waiting for a watermark advance that will never come.
-    abort: bool,
-}
-
-/// Drop guard held by every worker and by the merge loop: if its thread
-/// unwinds, it raises the abort flag and wakes every parked waiter so the
-/// panic propagates out of `thread::scope` instead of deadlocking the run.
-struct WakeOnUnwind<'a> {
-    gate: &'a Mutex<MergeGate>,
-    advanced: &'a Condvar,
-}
-
-impl Drop for WakeOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.gate
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .abort = true;
-        }
-        self.advanced.notify_all();
     }
 }
 
@@ -631,6 +374,25 @@ mod tests {
             FleetRunner::new(4).run_with_progress(batch, |_| panic!("progress consumer failed"));
         }));
         assert!(outcome.is_err(), "the callback panic must propagate");
+    }
+
+    /// A panicking scenario must propagate out of a multi-worker run with
+    /// its own payload, not hang the run or silently lose a worker.
+    #[test]
+    fn panicking_scenario_propagates_instead_of_deadlocking() {
+        let mut batch = small_batch();
+        // Channel 0 is no 802.15.4 channel: the radio refuses it mid-run.
+        batch.insert(1, Scenario::lpl(0, 0.18, SimDuration::from_secs(1)));
+        let outcome = std::panic::catch_unwind(|| FleetRunner::new(3).run(batch));
+        let payload = outcome.expect_err("the scenario panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied());
+        assert!(
+            message.is_some_and(|m| m.contains("802.15.4")),
+            "{message:?}"
+        );
     }
 
     /// The cache contract end to end: a cold run populates, a warm run

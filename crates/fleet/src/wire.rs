@@ -14,8 +14,15 @@
 //! trailing garbage, truncated input — is a parse failure, which callers
 //! treat as "corrupt": a cache miss, or a dead shard connection.  Never a
 //! panic, and never a silently-wrong value.
+//!
+//! Next to the reader sit the pieces both socket protocols share: the line
+//! framing ([`write_line`], [`read_msg`]) and the one codec for the
+//! [`GridOverrides`] fields the dist `job` message and the serve `submit`
+//! request carry.
 
+use crate::grid::GridOverrides;
 use std::fmt::Write as _;
+use std::io::{BufRead, Write};
 
 /// One parsed JSON value from the wire subset.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,6 +268,61 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Option<Value> {
     }
 }
 
+impl GridOverrides {
+    /// Appends the overrides as the `"seconds":…,"seeds":…,"pairs":…`
+    /// fields the dist `job` message and the serve `submit` request both
+    /// carry: `seconds` as its f64 bit pattern, `null` when unset.
+    pub fn push_json(&self, out: &mut String) {
+        let field = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |n| n.to_string());
+        let _ = write!(
+            out,
+            "\"seconds\":{},\"seeds\":{},\"pairs\":{}",
+            field(self.seconds.map(f64::to_bits)),
+            field(self.seed_count),
+            field(self.pairs.map(u64::from)),
+        );
+    }
+
+    /// Reads the fields [`GridOverrides::push_json`] writes; absent or
+    /// `null` means unset.  Values [`GridOverrides::apply`] refuses still
+    /// decode — refusing them is its job.
+    pub fn from_json(msg: &Value) -> Result<GridOverrides, String> {
+        let field = |key: &str| match msg.get(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => v
+                .as_u64()
+                .map(Some)
+                .ok_or_else(|| format!("field {key:?} must be a u64 or null")),
+        };
+        Ok(GridOverrides {
+            seconds: field("seconds")?.map(f64::from_bits),
+            seed_count: field("seeds")?,
+            pairs: field("pairs")?
+                .map(u16::try_from)
+                .transpose()
+                .map_err(|_| "field \"pairs\" exceeds u16".to_string())?,
+        })
+    }
+}
+
+/// Writes one protocol line: `line`, its `\n`, then a flush.
+pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
+    writer.write_all(line.as_bytes())?;
+    writer.write_all(b"\n")?;
+    writer.flush()
+}
+
+/// Reads one protocol line; `None` on EOF, i/o failure or a line that is
+/// not a JSON object from the wire subset.
+pub fn read_msg(reader: &mut impl BufRead) -> Option<Value> {
+    let mut line = String::new();
+    if reader.read_line(&mut line).ok()? == 0 {
+        return None;
+    }
+    let value = Value::parse(line.trim_end())?;
+    matches!(value, Value::Obj(_)).then_some(value)
+}
+
 /// Appends `value` as a JSON string literal (quotes included) to `out`.
 pub fn push_json_str(out: &mut String, value: &str) {
     out.push('"');
@@ -322,6 +384,37 @@ mod tests {
             "{\"a\"\u{0}:1}",
         ] {
             assert_eq!(Value::parse(bad), None, "{bad:?} must fail to parse");
+        }
+    }
+
+    #[test]
+    fn grid_overrides_round_trip_and_refuse_non_numbers() {
+        let overrides = GridOverrides {
+            seconds: Some(1.5),
+            seed_count: Some(4),
+            pairs: None,
+        };
+        let mut out = String::from("{");
+        overrides.push_json(&mut out);
+        out.push('}');
+        assert_eq!(
+            out,
+            "{\"seconds\":4609434218613702656,\"seeds\":4,\"pairs\":null}"
+        );
+        let v = Value::parse(&out).expect("parses");
+        assert_eq!(GridOverrides::from_json(&v), Ok(overrides));
+        let absent = Value::parse("{}").unwrap();
+        assert_eq!(
+            GridOverrides::from_json(&absent),
+            Ok(GridOverrides::default())
+        );
+        for bad in [
+            "{\"seeds\":\"4\"}",
+            "{\"pairs\":65536}",
+            "{\"seconds\":true}",
+        ] {
+            let v = Value::parse(bad).unwrap();
+            assert!(GridOverrides::from_json(&v).is_err(), "{bad}");
         }
     }
 

@@ -19,9 +19,9 @@
 //! pins (which compare pooled runs against cold runs byte for byte) enforce
 //! it.
 //!
-//! Workspaces are deliberately `!Send`-ish in usage: each [`crate::FleetRunner`]
-//! worker thread and each `quanto-serve` pool worker owns its own for its
-//! whole life, so no synchronization ever touches the pool.
+//! Workspaces are deliberately `!Send`-ish in usage: each
+//! [`crate::WorkerPool`] worker and the runner's inline executor own their
+//! own for their whole life, so no synchronization ever touches the pool.
 
 use crate::report::LiveNode;
 use net_sim::NetScratch;

@@ -12,8 +12,8 @@
 //! `metrics`) carry no floats and are parsed normally.
 
 use crate::PROTO_VERSION;
-use quanto_fleet::dist::GridOverrides;
 use quanto_fleet::wire::{push_json_str, Value};
+use quanto_fleet::GridOverrides;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -94,18 +94,8 @@ pub fn run_sweep(
 
     let mut request = format!("{{\"t\":\"submit\",\"proto\":{PROTO_VERSION},\"grid\":");
     push_json_str(&mut request, grid_text);
-    match overrides.seconds {
-        Some(s) => request.push_str(&format!(",\"seconds\":{}", s.to_bits())),
-        None => request.push_str(",\"seconds\":null"),
-    }
-    match overrides.seed_count {
-        Some(n) => request.push_str(&format!(",\"seeds\":{n}")),
-        None => request.push_str(",\"seeds\":null"),
-    }
-    match overrides.pairs {
-        Some(p) => request.push_str(&format!(",\"pairs\":{p}")),
-        None => request.push_str(",\"pairs\":null"),
-    }
+    request.push(',');
+    overrides.push_json(&mut request);
     request.push_str("}\n");
     writer.write_all(request.as_bytes())?;
     writer.flush()?;

@@ -10,19 +10,19 @@
 //!
 //! The moving parts, each its own module:
 //!
-//! * [`Server`] (`listener`) — binds, spawns the pool and the accept loop,
-//!   hands back a [`ServerHandle`] for address queries and clean shutdown;
-//! * `registry` — the job table: per-job chunk queue, reorder buffer and
-//!   [`quanto_fleet::ReportAccumulator`], so a job's final stream digest is
-//!   byte-identical to the same grid run in-process;
-//! * `scheduler` — the shared workers: fair round-robin over jobs, chunks
-//!   claimed with [`quanto_fleet::dist::take_chunk`], per-job backpressure
-//!   window so no job's reorder buffer grows unboundedly;
+//! * [`Server`] (`listener`) — binds, spawns the pool's workers and the
+//!   accept loop, hands back a [`ServerHandle`] for address queries and
+//!   clean shutdown;
+//! * `registry` — tenancy: job ids, the shared [`quanto_fleet::WorkerPool`]
+//!   and result cache, and the daemon counters.  Each submitted grid is one
+//!   [`quanto_fleet::Job`] — the same claim queue, reorder buffer and
+//!   report fold an in-process `FleetRunner` run uses, so a job's final
+//!   stream digest is byte-identical to the same grid run in-process — and
+//!   the pool serves every job round-robin under a per-job backpressure
+//!   window;
 //! * `session` — one thread per connection speaking the JSON-lines client
 //!   protocol (`submit` / `partial` / `metrics`, documented with worked
 //!   examples in `docs/PROTOCOL.md`), plus a plain-HTTP `GET /metrics`;
-//! * `partial` — the per-job prefix of merged per-scenario summaries, so a
-//!   mid-sweep `partial` query answers without blocking the sweep;
 //! * `metrics` — renders daemon counters plus the merged
 //!   [`quanto_obs::harvest`] registry as deterministic metrics text;
 //! * [`client`] — the blocking client `fleet_sweep --server` and the tests
@@ -53,9 +53,7 @@
 
 mod listener;
 mod metrics;
-mod partial;
 mod registry;
-mod scheduler;
 mod session;
 
 pub mod client;

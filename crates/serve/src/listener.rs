@@ -1,7 +1,7 @@
 //! The daemon front door: bind, spawn, accept, shut down.
 
 use crate::registry::Shared;
-use crate::{scheduler, session, ServeConfig};
+use crate::{session, ServeConfig};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,13 +36,13 @@ impl Server {
             .listener
             .local_addr()
             .expect("bound listener has an address");
-        let mut workers = Vec::with_capacity(self.shared.workers);
-        for w in 0..self.shared.workers {
+        let mut workers = Vec::with_capacity(self.shared.pool.workers());
+        for w in 0..self.shared.pool.workers() {
             let shared = self.shared.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
-                    .spawn(move || scheduler::worker_loop(shared, w))
+                    .spawn(move || shared.pool.work(w, shared.cache.as_ref()))
                     .expect("spawn worker thread"),
             );
         }
@@ -85,14 +85,14 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Jobs currently registered (running, or finished but not yet
-    /// delivered to their session).  Zero means the pool is idle.
+    /// Jobs whose session is still running (finished jobs whose `final`
+    /// was delivered do not count).  Zero means the pool is idle.
     pub fn active_jobs(&self) -> usize {
         self.shared
-            .registry
+            .jobs
             .lock()
             .expect("job table poisoned")
-            .jobs
+            .running
             .len()
     }
 
@@ -103,17 +103,17 @@ impl ServerHandle {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         let jobs: Vec<_> = self
             .shared
-            .registry
+            .jobs
             .lock()
             .expect("job table poisoned")
-            .jobs
+            .running
             .values()
             .cloned()
             .collect();
         for job in jobs {
-            job.cancel(&self.shared);
+            self.shared.cancel(&job);
         }
-        self.shared.work.notify_all();
+        self.shared.pool.shutdown();
         // A throwaway connection unblocks the accept loop so it can see
         // the shutdown flag.
         let _ = TcpStream::connect(self.addr);

@@ -6,7 +6,7 @@
 //!
 //! * `serve.*` counters and gauges maintained by the daemon itself
 //!   (jobs submitted/completed/cancelled, cells executed, query counts);
-//! * per-live-job progress gauges (`serve.job.<id>.merged` / `.total`);
+//! * per-running-job progress gauges (`serve.job.<id>.merged` / `.total`);
 //! * everything the worker pool recorded through `quanto-obs` (spans,
 //!   `cache.hits` / `cache.misses` / `cache.writes`, engine counters),
 //!   merged via [`quanto_obs::harvest`].
@@ -40,10 +40,7 @@ pub(crate) fn render(shared: &Shared) -> String {
         "serve.jobs.cancelled",
         s.jobs_cancelled.load(Ordering::Relaxed),
     );
-    reg.counter_add(
-        "serve.scenarios.executed",
-        s.scenarios_executed.load(Ordering::Relaxed),
-    );
+    reg.counter_add("serve.scenarios.executed", shared.pool.executed());
     reg.counter_add("serve.scenarios.warm", s.warm_hits.load(Ordering::Relaxed));
     reg.counter_add(
         "serve.queries.partial",
@@ -57,18 +54,14 @@ pub(crate) fn render(shared: &Shared) -> String {
         "serve.errors.protocol",
         s.protocol_errors.load(Ordering::Relaxed),
     );
-    reg.gauge_set("serve.workers", shared.workers as u64);
+    reg.gauge_set("serve.workers", shared.pool.workers() as u64);
 
     {
-        let table = shared.registry.lock().expect("job table poisoned");
-        reg.gauge_set("serve.jobs.active", table.jobs.len() as u64);
-        let mut ids: Vec<u64> = table.jobs.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            let job = &table.jobs[&id];
-            let merged = job.state.lock().expect("job state poisoned").merged;
-            reg.gauge_set(&format!("serve.job.{id}.merged"), merged as u64);
-            reg.gauge_set(&format!("serve.job.{id}.total"), job.total as u64);
+        let table = shared.jobs.lock().expect("job table poisoned");
+        reg.gauge_set("serve.jobs.active", table.running.len() as u64);
+        for (id, job) in &table.running {
+            reg.gauge_set(&format!("serve.job.{id}.merged"), job.merged() as u64);
+            reg.gauge_set(&format!("serve.job.{id}.total"), job.total() as u64);
         }
     }
     reg.to_text()

@@ -1,24 +1,21 @@
-//! The job table: every live sweep's queue, reorder buffer and accumulator.
+//! The daemon's tenancy: job ids, the shared pool and cache, and counters.
 //!
-//! A job is the daemon's unit of tenancy.  Submission expands the grid,
-//! probes the result cache for every cell (hits never enter the queue),
-//! and parks the misses in a per-job chunk queue the shared worker pool
-//! drains.  Completed cells flow through a reorder buffer into a
-//! [`ReportAccumulator`] strictly in submission-index order — the same
-//! seam `FleetRunner` and the dist coordinator use, which is what makes a
-//! served job's stream digest byte-identical to the in-process run.
+//! A job is the daemon's unit of tenancy.  Submission expands the grid
+//! into a [`Job`] — which probes the result cache for every cell (hits
+//! merge at once and never enter the queue) — registers it under a fresh
+//! id, and hands it to the one shared [`WorkerPool`].  The job itself
+//! reorders, folds and emits progress exactly as an in-process
+//! `FleetRunner` run does, which is what makes a served job's stream digest
+//! byte-identical to the in-process run.
 
-use crate::partial::PartialStore;
 use crate::ServeConfig;
-use quanto_fleet::dist::GridOverrides;
-use quanto_fleet::{
-    CacheStats, FleetProgress, GridSpec, ReportAccumulator, ResultCache, Retention, Scenario,
-    ScenarioResult,
-};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use quanto_fleet::{GridOverrides, GridSpec, Job, ResultCache, Retention, WorkerPool};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+
+/// How many finished jobs stay queryable after their session sent `final`.
+pub(crate) const FINISHED_RETAINED: usize = 64;
 
 /// Daemon-lifetime counters, mirrored into the metrics rendering.
 #[derive(Debug, Default)]
@@ -26,7 +23,6 @@ pub(crate) struct ServeStats {
     pub(crate) jobs_submitted: AtomicU64,
     pub(crate) jobs_completed: AtomicU64,
     pub(crate) jobs_cancelled: AtomicU64,
-    pub(crate) scenarios_executed: AtomicU64,
     pub(crate) warm_hits: AtomicU64,
     pub(crate) partial_queries: AtomicU64,
     pub(crate) metrics_queries: AtomicU64,
@@ -35,20 +31,13 @@ pub(crate) struct ServeStats {
 
 /// Everything the worker pool, the accept loop and the sessions share.
 pub(crate) struct Shared {
-    /// The job table.  Lock ordering: `registry` before any per-job lock;
-    /// never take it while holding one.
-    pub(crate) registry: Mutex<JobTable>,
-    /// Workers park here when no job has schedulable work.
-    pub(crate) work: Condvar,
+    /// The pool every job's cells run on.
+    pub(crate) pool: WorkerPool,
     /// The shared result cache, probed at submit and written back by the
     /// workers.
     pub(crate) cache: Option<ResultCache>,
-    /// Pool size (also the chunk-size denominator for `take_chunk`).
-    pub(crate) workers: usize,
-    /// Per-job backpressure window: a job's queue front must be within
-    /// `merged + window` to be claimable, bounding its reorder buffer.
-    pub(crate) window: usize,
-    /// Raised once; workers and the accept loop exit at the next check.
+    pub(crate) jobs: Mutex<JobTable>,
+    /// Raised once; the accept loop exits at the next check.
     pub(crate) shutdown: AtomicBool,
     pub(crate) stats: ServeStats,
     /// Obs registries harvested so far — metrics queries merge the latest
@@ -63,238 +52,97 @@ impl Shared {
             Some(dir) => Some(ResultCache::open(dir)?),
             None => None,
         };
-        let workers = config.workers.max(1);
         Ok(Shared {
-            registry: Mutex::new(JobTable::default()),
-            work: Condvar::new(),
+            pool: WorkerPool::new(config.workers),
             cache,
-            workers,
-            window: (2 * workers).max(8),
+            jobs: Mutex::new(JobTable::default()),
             shutdown: AtomicBool::new(false),
             stats: ServeStats::default(),
             obs_merged: Mutex::new(quanto_obs::Registry::default()),
         })
     }
+
+    /// Cancels `job`, counting it if this call did the cancelling.
+    pub(crate) fn cancel(&self, job: &Job) {
+        if job.cancel() {
+            self.stats.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The job with id `id`: running, or among the most recent finished.
+    pub(crate) fn lookup(&self, id: u64) -> Option<Arc<Job>> {
+        let table = self.jobs.lock().expect("job table poisoned");
+        table.running.get(&id).cloned().or_else(|| {
+            table
+                .finished
+                .iter()
+                .find(|(finished, _)| *finished == id)
+                .map(|(_, job)| job.clone())
+        })
+    }
 }
 
-/// The live jobs, plus the round-robin cursor the scheduler walks.
+/// The job ids: jobs whose session is still streaming, and the most recent
+/// jobs whose session delivered `final`.
 #[derive(Default)]
 pub(crate) struct JobTable {
-    pub(crate) jobs: HashMap<u64, Arc<Job>>,
-    /// Jobs with queued work, in submission order; the scheduler's fairness
-    /// ring.
-    pub(crate) ring: Vec<u64>,
-    /// Next ring slot to offer work from.
-    pub(crate) rr: usize,
+    pub(crate) running: BTreeMap<u64, Arc<Job>>,
+    /// Oldest first, at most [`FINISHED_RETAINED`] long.
+    finished: VecDeque<(u64, Arc<Job>)>,
     next_id: u64,
 }
 
-/// One submitted sweep.
-pub(crate) struct Job {
-    pub(crate) id: u64,
-    pub(crate) total: usize,
-    /// Cells answered by the cache probe at submit (never queued).
-    pub(crate) warm: usize,
-    pub(crate) scenarios: Vec<Scenario>,
-    /// Indices not yet claimed by a worker, ascending.  The scheduler
-    /// serves it through [`quanto_fleet::dist::take_chunk`].
-    pub(crate) queue: Mutex<VecDeque<usize>>,
-    pub(crate) state: Mutex<JobState>,
-    /// Signalled on every merge, on completion and on cancellation; the
-    /// submitting session waits here to stream events out.
-    pub(crate) events: Condvar,
-    pub(crate) cancelled: AtomicBool,
-}
-
-/// The mutable half of a job, behind its lock.
-pub(crate) struct JobState {
-    /// `Some` until the last cell merges, then consumed by `finish`.
-    acc: Option<ReportAccumulator>,
-    /// Completed cells waiting for their submission-order turn.
-    pending: BTreeMap<usize, ScenarioResult>,
-    /// Cells merged so far (also the next index to merge).
-    pub(crate) merged: usize,
-    /// Progress events not yet streamed to the client.
-    pub(crate) events: VecDeque<FleetProgress>,
-    /// Merged per-scenario summary lines, for `partial` queries.
-    pub(crate) partial: PartialStore,
-    /// The final `summary_json` line, set exactly once at completion.
-    pub(crate) summary: Option<String>,
-    /// The final stream digest, set with `summary`.
-    pub(crate) digest: Option<u64>,
-    started: Instant,
-    /// Merged cells that were cache hits (warm or runtime).
-    hits: u64,
-}
-
-impl Job {
-    /// Hands one completed cell to the reorder buffer and merges whatever
-    /// is now in order.
-    pub(crate) fn deliver(&self, index: usize, result: ScenarioResult, shared: &Shared) {
-        let mut st = self.state.lock().expect("job state poisoned");
-        st.pending.insert(index, result);
-        self.merge_ready(&mut st, shared);
-    }
-
-    /// Drains the reorder buffer: merges every pending result whose turn
-    /// has come, emits its progress event, and finalizes the report when
-    /// the last one lands.  Call with the state lock held.
-    pub(crate) fn merge_ready(&self, st: &mut JobState, shared: &Shared) {
-        while let Some(result) = st.pending.remove(&st.merged) {
-            let completed = st.merged + 1;
-            let elapsed_ms = st.started.elapsed().as_millis() as u64;
-            let eta_ms = (completed >= 2)
-                .then(|| elapsed_ms * (self.total - completed) as u64 / completed as u64);
-            let event = FleetProgress {
-                index: result.index,
-                name: result.scenario.name.clone(),
-                completed,
-                total: self.total,
-                medium_kind: result.medium_kind,
-                medium_counters: result.medium_counters().ok().copied(),
-                summaries: result.summaries.clone(),
-                elapsed_ms,
-                eta_ms,
-                shard: None,
-                cache_hit: result.cache_hit(),
-            };
-            if result.cache_hit() {
-                st.hits += 1;
-            }
-            st.partial.push(event.result_json());
-            st.acc
-                .as_mut()
-                .expect("accumulator lives until the last merge")
-                .absorb(result);
-            st.events.push_back(event);
-            st.merged = completed;
-        }
-        if st.merged == self.total && st.summary.is_none() {
-            let acc = st.acc.take().expect("finish happens exactly once");
-            let mut report = acc.finish(shared.workers, st.started.elapsed(), 0);
-            if shared.cache.is_some() {
-                // Per-job view of the shared cache: merged hits are exact;
-                // every miss was simulated and written back.
-                let misses = self.total as u64 - st.hits;
-                report.set_cache_stats(CacheStats {
-                    hits: st.hits,
-                    misses,
-                    writes: misses,
-                });
-            }
-            st.digest = Some(report.digest());
-            st.summary = Some(report.summary_json());
-            shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.events.notify_all();
-    }
-
-    /// Cancels a still-running job: clears its queue (in-flight cells
-    /// finish but merge into a job nobody will read) and wakes its
-    /// session.  Idempotent; a no-op after completion.  Returns whether
-    /// this call did the cancelling.
-    pub(crate) fn cancel(&self, shared: &Shared) -> bool {
-        if self
-            .state
-            .lock()
-            .expect("job state poisoned")
-            .summary
-            .is_some()
-        {
-            return false;
-        }
-        if self.cancelled.swap(true, Ordering::Relaxed) {
-            return false;
-        }
-        self.queue.lock().expect("job queue poisoned").clear();
-        shared.stats.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-        self.events.notify_all();
-        true
-    }
-}
-
-/// Expands, probes and registers one submitted grid.  Warm cells merge
-/// before this returns, so an all-warm job arrives already complete.
+/// Expands and registers one submitted grid, returning its id and job.
+/// Warm cells merge before this returns, so an all-warm job arrives
+/// already complete.
 pub(crate) fn submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     grid_text: &str,
     overrides: &GridOverrides,
-) -> Result<Arc<Job>, String> {
+) -> Result<(u64, Arc<Job>), String> {
     let mut spec = GridSpec::parse(grid_text).map_err(|e| format!("grid error: {e}"))?;
-    overrides.apply(&mut spec);
+    overrides
+        .apply(&mut spec)
+        .map_err(|e| format!("override error: {e}"))?;
     let scenarios = spec.expand().map_err(|e| format!("grid error: {e}"))?;
-    let total = scenarios.len();
-    if total == 0 {
+    if scenarios.is_empty() {
         return Err("grid expands to zero scenarios".to_string());
     }
-
-    let mut state = JobState {
-        acc: Some(ReportAccumulator::new(total, Retention::Stream)),
-        pending: BTreeMap::new(),
-        merged: 0,
-        events: VecDeque::new(),
-        partial: PartialStore::default(),
-        summary: None,
-        digest: None,
-        started: Instant::now(),
-        hits: 0,
-    };
-    let mut queue = VecDeque::with_capacity(total);
-    let mut warm = 0usize;
-    for (i, scenario) in scenarios.iter().enumerate() {
-        match shared.cache.as_ref().and_then(|c| c.probe(i, scenario)) {
-            Some(result) => {
-                state.pending.insert(i, result);
-                warm += 1;
-            }
-            None => queue.push_back(i),
-        }
-    }
+    let job = Arc::new(Job::new(
+        scenarios,
+        Retention::Stream,
+        shared.pool.workers(),
+        shared.cache.as_ref(),
+    ));
     shared
         .stats
         .warm_hits
-        .fetch_add(warm as u64, Ordering::Relaxed);
-
+        .fetch_add(job.warm() as u64, Ordering::Relaxed);
     let id = {
-        let mut table = shared.registry.lock().expect("job table poisoned");
+        let mut table = shared.jobs.lock().expect("job table poisoned");
         table.next_id += 1;
-        table.next_id
+        let id = table.next_id;
+        table.running.insert(id, job.clone());
+        id
     };
-    let job = Arc::new(Job {
-        id,
-        total,
-        warm,
-        scenarios,
-        queue: Mutex::new(queue),
-        state: Mutex::new(state),
-        events: Condvar::new(),
-        cancelled: AtomicBool::new(false),
-    });
-    {
-        let mut st = job.state.lock().expect("job state poisoned");
-        job.merge_ready(&mut st, shared);
-    }
-    {
-        let mut table = shared.registry.lock().expect("job table poisoned");
-        table.jobs.insert(id, job.clone());
-        if warm < total {
-            table.ring.push(id);
-        }
-    }
     shared.stats.jobs_submitted.fetch_add(1, Ordering::Relaxed);
-    shared.work.notify_all();
-    Ok(job)
+    if job.queued() > 0 {
+        shared.pool.submit(job.clone());
+    }
+    Ok((id, job))
 }
 
-/// Unregisters a job once its session has delivered the final line (or
-/// died).  Partial queries for it answer "unknown job" from here on.
-pub(crate) fn finish_job(shared: &Shared, id: u64) {
-    let mut table = shared.registry.lock().expect("job table poisoned");
-    table.jobs.remove(&id);
-    table.ring.retain(|&j| j != id);
-    if table.ring.is_empty() {
-        table.rr = 0;
-    } else {
-        table.rr %= table.ring.len();
+/// Unregisters a job once its session has ended.  A job whose session
+/// delivered `final` stays queryable among the [`FINISHED_RETAINED`] most
+/// recent; any other is forgotten.
+pub(crate) fn retire(shared: &Shared, id: u64, delivered: bool) {
+    let mut table = shared.jobs.lock().expect("job table poisoned");
+    if let Some(job) = table.running.remove(&id) {
+        if delivered {
+            table.finished.push_back((id, job));
+            if table.finished.len() > FINISHED_RETAINED {
+                table.finished.pop_front();
+            }
+        }
     }
 }

@@ -14,11 +14,13 @@
 //! A submit session owns its job: if the client disconnects mid-sweep
 //! (detected by the EOF watchdog, or by a failed event write), the job is
 //! cancelled, its queue cleared, and the pool moves on to other tenants.
+//! Once the session has sent `final`, the job stays queryable among the
+//! most recent finished jobs.
 
 use crate::registry::{self, Shared};
 use crate::{metrics, PROTO_VERSION};
-use quanto_fleet::dist::GridOverrides;
-use quanto_fleet::wire::{push_json_str, Value};
+use quanto_fleet::wire::{push_json_str, write_line, Value};
+use quanto_fleet::{GridOverrides, JobStatus};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
@@ -59,18 +61,6 @@ pub(crate) fn handle(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Reads one optional-`null` `u64` field: absent or `null` → `None`,
-/// a number → `Some(n)`, anything else → protocol error.
-fn opt_u64(msg: &Value, key: &str) -> Result<Option<u64>, String> {
-    match msg.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {key:?} must be a u64 or null")),
-    }
-}
-
 fn submit(
     mut reader: BufReader<TcpStream>,
     mut writer: TcpStream,
@@ -94,39 +84,23 @@ fn submit(
     let Some(grid) = msg.get_str("grid") else {
         return reject(&mut writer, shared, "submit is missing the grid text");
     };
-    let overrides = {
-        let seconds = match opt_u64(msg, "seconds") {
-            Ok(bits) => bits.map(f64::from_bits),
-            Err(why) => return reject(&mut writer, shared, &why),
-        };
-        let seed_count = match opt_u64(msg, "seeds") {
-            Ok(n) => n,
-            Err(why) => return reject(&mut writer, shared, &why),
-        };
-        let pairs = match opt_u64(msg, "pairs") {
-            Ok(None) => None,
-            Ok(Some(p)) if p <= u16::MAX as u64 => Some(p as u16),
-            Ok(Some(_)) => return reject(&mut writer, shared, "field \"pairs\" exceeds u16"),
-            Err(why) => return reject(&mut writer, shared, &why),
-        };
-        GridOverrides {
-            seconds,
-            seed_count,
-            pairs,
-        }
+    let overrides = match GridOverrides::from_json(msg) {
+        Ok(overrides) => overrides,
+        Err(why) => return reject(&mut writer, shared, &why),
     };
 
-    let job = match registry::submit(shared, grid, &overrides) {
-        Ok(job) => job,
+    let (id, job) = match registry::submit(shared, grid, &overrides) {
+        Ok(submitted) => submitted,
         Err(why) => return reject(&mut writer, shared, &why),
     };
     let accepted = format!(
-        "{{\"t\":\"accepted\",\"proto\":{PROTO_VERSION},\"job\":{},\"total\":{},\"warm\":{}}}",
-        job.id, job.total, job.warm
+        "{{\"t\":\"accepted\",\"proto\":{PROTO_VERSION},\"job\":{id},\"total\":{},\"warm\":{}}}",
+        job.total(),
+        job.warm()
     );
     if write_line(&mut writer, &accepted).is_err() {
-        job.cancel(shared);
-        registry::finish_job(shared, job.id);
+        shared.cancel(&job);
+        registry::retire(shared, id, false);
         return;
     }
 
@@ -139,56 +113,41 @@ fn submit(
         std::thread::spawn(move || {
             let mut stray = String::new();
             let _ = reader.read_line(&mut stray);
-            job.cancel(&shared);
+            shared.cancel(&job);
         })
     };
 
-    loop {
-        let (events, summary, cancelled) = {
-            let mut st = job.state.lock().expect("job state poisoned");
-            while st.events.is_empty()
-                && st.summary.is_none()
-                && !job.cancelled.load(Ordering::Relaxed)
-            {
-                let (guard, _) = job
-                    .events
-                    .wait_timeout(st, Duration::from_millis(200))
-                    .expect("job state poisoned");
-                st = guard;
-            }
-            let events: Vec<_> = st.events.drain(..).collect();
-            (
-                events,
-                st.summary.clone(),
-                job.cancelled.load(Ordering::Relaxed),
-            )
-        };
+    let delivered = loop {
+        let (events, status) = job.wait(Duration::from_millis(200));
         for event in &events {
             let line = format!(
-                "{{\"t\":\"progress\",\"job\":{},\"event\":{}}}",
-                job.id,
+                "{{\"t\":\"progress\",\"job\":{id},\"event\":{}}}",
                 event.to_json()
             );
             if write_line(&mut writer, &line).is_err() {
-                job.cancel(shared);
-                registry::finish_job(shared, job.id);
-                return;
+                shared.cancel(&job);
+                break;
             }
         }
-        if let Some(summary) = summary {
-            let line = format!(
-                "{{\"t\":\"final\",\"job\":{},\"summary\":{}}}",
-                job.id, summary
-            );
-            let _ = write_line(&mut writer, &line);
-            break;
+        match status {
+            JobStatus::Running if !job.is_cancelled() => {}
+            JobStatus::Running | JobStatus::Cancelled => {
+                let why = match job.take_panic() {
+                    Some(_) => "failed: a scenario panicked",
+                    None => "cancelled",
+                };
+                let _ = error_line(&mut writer, &format!("job {id} {why}"));
+                break false;
+            }
+            JobStatus::Finished => {
+                shared.stats.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                let summary = job.summary_json().expect("a finished job holds its report");
+                let line = format!("{{\"t\":\"final\",\"job\":{id},\"summary\":{summary}}}");
+                break write_line(&mut writer, &line).is_ok();
+            }
         }
-        if cancelled {
-            let _ = error_line(&mut writer, &format!("job {} cancelled", job.id));
-            break;
-        }
-    }
-    registry::finish_job(shared, job.id);
+    };
+    registry::retire(shared, id, delivered);
     drop(watchdog);
 }
 
@@ -199,27 +158,15 @@ fn partial(mut writer: TcpStream, shared: &Arc<Shared>, msg: &Value) {
         let _ = error_line(&mut writer, "partial is missing the job id");
         return;
     };
-    let job = shared
-        .registry
-        .lock()
-        .expect("job table poisoned")
-        .jobs
-        .get(&id)
-        .cloned();
-    let Some(job) = job else {
+    let Some(job) = shared.lookup(id) else {
         let _ = error_line(&mut writer, &format!("unknown job {id}"));
         return;
     };
-    let line = {
-        let st = job.state.lock().expect("job state poisoned");
-        format!(
-            "{{\"t\":\"partial\",\"job\":{id},\"total\":{},\"completed\":{},\"done\":{},\"results\":{}}}",
-            job.total,
-            st.merged,
-            st.summary.is_some(),
-            st.partial.render_array()
-        )
-    };
+    let (completed, done, results) = job.merged_json();
+    let line = format!(
+        "{{\"t\":\"partial\",\"job\":{id},\"total\":{},\"completed\":{completed},\"done\":{done},\"results\":{results}}}",
+        job.total()
+    );
     let _ = write_line(&mut writer, &line);
 }
 
@@ -256,12 +203,6 @@ fn http_metrics(mut reader: BufReader<TcpStream>, mut writer: TcpStream, shared:
         body
     );
     let _ = writer.write_all(response.as_bytes());
-}
-
-fn write_line(writer: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()
 }
 
 fn error_line(writer: &mut TcpStream, message: &str) -> std::io::Result<()> {

@@ -8,8 +8,11 @@
 //!   interleave, neither starves;
 //! * a mid-sweep `partial` query answers a byte-exact prefix of the final
 //!   summary's `results` array;
+//! * a finished job stays queryable after its `final` line;
 //! * a client disconnect cancels its job and frees the pool for the next
 //!   tenant;
+//! * override values the CLI refuses are refused with an `error` line,
+//!   and the daemon keeps serving;
 //! * the metrics endpoint (JSON-lines and plain HTTP) renders the daemon
 //!   counters.
 //!
@@ -52,11 +55,13 @@ seconds = 1
 const PIN_BATCH_LEN: usize = 7;
 
 /// A moderate grid for concurrency tests: six Bounce cells, each a few
-/// tens of host milliseconds, so two jobs genuinely overlap on the pool.
+/// tens of host milliseconds (about 20 on a 2-vCPU host, release build),
+/// so two jobs genuinely overlap on the pool and their progress streams
+/// outlast client thread-scheduling jitter.
 const BOUNCE_GRID: &str = "
 [grid]
 name = bounce_grid
-seconds = 2
+seconds = 20
 
 [cell.bounce]
 app = bounce
@@ -134,6 +139,21 @@ fn two_concurrent_jobs_share_the_pool_and_interleave() {
     let addr = handle.addr().to_string();
     let timeline: Arc<Mutex<Vec<(usize, Instant)>>> = Arc::new(Mutex::new(Vec::new()));
 
+    // A blocker job holds both workers until the two tenants are
+    // registered; without it, a tenant whose submit lands late finds the
+    // other tenant's six fast cells already done, and nothing is left to
+    // interleave.  Its session is hand-rolled so the test can end it.
+    let blocker = TcpStream::connect(&addr).expect("connect");
+    let mut request = String::from("{\"t\":\"submit\",\"proto\":1,\"grid\":");
+    quanto_fleet::wire::push_json_str(&mut request, &BOUNCE_GRID.replace("1..6", "1..2000"));
+    request.push_str("}\n");
+    (&blocker).write_all(request.as_bytes()).expect("submit");
+    let mut accepted = String::new();
+    BufReader::new(&blocker)
+        .read_line(&mut accepted)
+        .expect("accepted line");
+    assert!(accepted.starts_with("{\"t\":\"accepted\","), "{accepted}");
+
     let clients: Vec<_> = (0..2)
         .map(|tenant| {
             let addr = addr.clone();
@@ -146,6 +166,14 @@ fn two_concurrent_jobs_share_the_pool_and_interleave() {
             })
         })
         .collect();
+    // Both tenants registered: disconnecting cancels the blocker, and the
+    // pool turns to the tenants together.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while handle.active_jobs() < 3 {
+        assert!(Instant::now() < deadline, "the tenants never registered");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(blocker);
     let outcomes: Vec<_> = clients
         .into_iter()
         .map(|c| c.join().expect("client thread"))
@@ -247,8 +275,12 @@ fn partial_query_returns_a_byte_exact_prefix_of_the_final_summary() {
         "prefix must end on an element boundary"
     );
 
-    // Completed jobs answer `done` until their session retires them;
-    // unknown jobs are a server-side error.
+    // After `final` the job stays queryable: `done`, with the whole final
+    // results array.  Unknown jobs are a server-side error.
+    let finished = client::partial(&addr, job).expect("a finished job stays queryable");
+    assert!(finished.done, "a finished job answers done");
+    assert_eq!(finished.completed, 6);
+    assert_eq!(finished.results, final_results);
     match client::partial(&addr, job + 1000) {
         Err(client::ClientError::Server(why)) => assert!(why.contains("unknown job"), "{why}"),
         other => panic!("expected an unknown-job error, got {other:?}"),
@@ -296,6 +328,86 @@ fn client_disconnect_cancels_the_job_and_frees_the_pool() {
     .expect("the pool serves the next tenant");
     assert_eq!(outcome.total, 1);
 
+    handle.shutdown();
+}
+
+/// One `bounce_pairs` cell, so a `pairs` override applies to it.
+const PAIRS_GRID: &str = "
+[grid]
+name = pairs_grid
+seconds = 1
+
+[cell.pairs]
+app = bounce_pairs
+pairs = 2
+";
+
+/// Submits `grid` with the raw override `fields` and reads the daemon's
+/// reply lines up to `final`, `error` or EOF.  The read timeout turns a
+/// daemon that never answers into a test failure instead of a hang.
+fn submit_raw(addr: &str, grid: &str, fields: &str) -> Vec<String> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut request = String::from("{\"t\":\"submit\",\"proto\":1,\"grid\":");
+    quanto_fleet::wire::push_json_str(&mut request, grid);
+    request.push_str(fields);
+    request.push_str("}\n");
+    writer.write_all(request.as_bytes()).expect("submit");
+    let mut lines = Vec::new();
+    for line in BufReader::new(stream).lines() {
+        let line = line.expect("a reply line before the read timeout");
+        let last = line.starts_with("{\"t\":\"final\",") || line.starts_with("{\"t\":\"error\",");
+        lines.push(line);
+        if last {
+            break;
+        }
+    }
+    lines
+}
+
+#[test]
+fn invalid_overrides_are_refused_and_the_daemon_keeps_serving() {
+    let handle = start_server(1);
+    let addr = handle.addr().to_string();
+    let refused = [
+        (PAIRS_GRID, ",\"pairs\":40000".to_string()),
+        (PAIRS_GRID, ",\"pairs\":0".to_string()),
+        (BOUNCE_GRID, format!(",\"seconds\":{}", f64::NAN.to_bits())),
+        (
+            BOUNCE_GRID,
+            format!(",\"seconds\":{}", f64::INFINITY.to_bits()),
+        ),
+        (BOUNCE_GRID, ",\"seeds\":0".to_string()),
+    ];
+    for (grid, fields) in &refused {
+        let lines = submit_raw(&addr, grid, fields);
+        assert_eq!(lines.len(), 1, "{fields}: {lines:?}");
+        assert!(
+            lines[0].starts_with("{\"t\":\"error\","),
+            "{fields}: {lines:?}"
+        );
+    }
+
+    // The only worker is free: a job with valid overrides completes.
+    let lines = submit_raw(
+        &addr,
+        PAIRS_GRID,
+        &format!(",\"seconds\":{},\"pairs\":3", 1.0f64.to_bits()),
+    );
+    let last = lines.last().expect("reply lines");
+    assert!(last.starts_with("{\"t\":\"final\","), "{lines:?}");
+    assert!(last.contains("\"scenarios\":1"), "{last}");
+
+    let text = client::metrics(&addr).expect("metrics reply");
+    for needle in [
+        format!("counter serve.errors.protocol {}", refused.len()),
+        "counter serve.jobs.submitted 1".to_string(),
+    ] {
+        assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
+    }
     handle.shutdown();
 }
 
