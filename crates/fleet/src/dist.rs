@@ -10,7 +10,9 @@
 //! is another process of the same binary (`fleet_sweep --shard ADDR`)
 //! running one [`crate::WorkerPool`] for the whole connection, with every
 //! chunk it claims a job on that pool — so its workers' workspaces persist
-//! across chunks.
+//! across chunks.  Both ends set `TCP_NODELAY` and write each line in one
+//! write, so no line waits for the peer's delayed ACK: a chunk round trip
+//! costs far less than the cells it carries.
 //!
 //! ```text
 //! shard → {"t":"hello"}
@@ -376,6 +378,7 @@ impl Drop for StopServing<'_> {
 /// lost connection returns the indices the shard still owed, which the
 /// caller requeues.
 fn serve_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job) -> Result<(), Vec<usize>> {
+    stream.set_nodelay(true).map_err(|_| Vec::new())?;
     let mut reader = BufReader::new(stream.try_clone().map_err(|_| Vec::new())?);
     let mut writer = stream;
     let _worker_span = quanto_obs::span("worker");
@@ -477,6 +480,7 @@ fn handle_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job, links:
 /// ADDR` process (or an in-process thread, in tests).
 pub fn run_shard(addr: &str) -> Result<(), DistError> {
     let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     write_line(&mut writer, "{\"t\":\"hello\"}")?;

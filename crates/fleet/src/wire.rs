@@ -305,10 +305,11 @@ impl GridOverrides {
     }
 }
 
-/// Writes one protocol line: `line`, its `\n`, then a flush.
+/// Writes one protocol line: `line` and its `\n` in one `write_all`, then
+/// a flush.  One write per line matters on a socket: a line split across
+/// two writes can leave its tail waiting for the peer's delayed ACK.
 pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
+    writer.write_all(format!("{line}\n").as_bytes())?;
     writer.flush()
 }
 
@@ -416,6 +417,33 @@ mod tests {
             let v = Value::parse(bad).unwrap();
             assert!(GridOverrides::from_json(&v).is_err(), "{bad}");
         }
+    }
+
+    /// A `Write` that records every call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: Vec<Vec<u8>>,
+        flushes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_makes_one_write_and_one_flush() {
+        let mut writer = CountingWriter::default();
+        write_line(&mut writer, "{\"t\":\"next\"}").expect("write");
+        assert_eq!(writer.writes, vec![b"{\"t\":\"next\"}\n".to_vec()]);
+        assert_eq!(writer.flushes, 1);
     }
 
     #[test]
