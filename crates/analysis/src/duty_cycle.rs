@@ -126,7 +126,9 @@ mod tests {
             end: SimTime::from_millis(end_ms),
             counts,
             // sink 0 = cpu (always state 0 here), sink 1 = radio rx.
-            states: vec![StateIndex(0), StateIndex(if radio_on { 1 } else { 0 })],
+            states: [StateIndex(0), StateIndex(if radio_on { 1 } else { 0 })]
+                .into_iter()
+                .collect(),
         }
     }
 

@@ -13,7 +13,7 @@
 //! Timestamps in the log are 32-bit microsecond counters that wrap (about
 //! every 71.6 minutes); [`unwrap_times`] reconstructs monotonic 64-bit time.
 
-use hw_model::{Catalog, SimDuration, SimTime, StateIndex};
+use hw_model::{Catalog, SimDuration, SimTime, StateVectorKey};
 use quanto_core::{ActivityLabel, DeviceId, EntryKind, LogEntry, Stamp};
 use std::collections::BTreeMap;
 
@@ -38,7 +38,7 @@ pub fn unwrap_times(entries: &[LogEntry]) -> Vec<UnwrappedEntry> {
 }
 
 /// A span during which the set of active power states was constant.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerInterval {
     /// Interval start.
     pub start: SimTime,
@@ -47,7 +47,7 @@ pub struct PowerInterval {
     /// iCount pulses accumulated during the interval.
     pub counts: u32,
     /// The per-sink state indices in effect during the interval.
-    pub states: Vec<StateIndex>,
+    pub states: StateVectorKey,
 }
 
 impl PowerInterval {
@@ -65,17 +65,19 @@ impl PowerInterval {
 /// otherwise the span after the final power-state entry is dropped.
 ///
 /// This is the batch wrapper over the incremental
-/// [`crate::streaming::IntervalBuilder`], which accepts the log in chunks
-/// and emits intervals eagerly; use the builder when the log is too large
-/// (or too long-lived) to hold as one slice.
+/// [`crate::streaming::IntervalBuilder`], which takes the log entry by entry
+/// and returns each interval as it closes; use the builder when the log is
+/// too large (or too long-lived) to hold as one slice.
 pub fn power_intervals(
     entries: &[LogEntry],
     catalog: &Catalog,
     final_stamp: Option<Stamp>,
 ) -> Vec<PowerInterval> {
     let mut builder = crate::streaming::IntervalBuilder::new(catalog);
-    builder.push_chunk(entries);
-    builder.finish(final_stamp)
+    let mut intervals: Vec<PowerInterval> =
+        entries.iter().filter_map(|e| builder.push(e)).collect();
+    intervals.extend(builder.finish(final_stamp));
+    intervals
 }
 
 /// A span during which one device worked on behalf of one activity.

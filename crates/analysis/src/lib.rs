@@ -9,7 +9,7 @@
 //! * [`matrix`] — the small dense linear algebra the estimator needs,
 //! * [`intervals`] — log parsing: power intervals, activity segments,
 //!   proxy-binding resolution, timestamp unwrapping,
-//! * [`streaming`] — the incremental (chunk-wise) builders behind
+//! * [`streaming`] — the incremental (entry-by-entry) builders behind
 //!   [`intervals`], for consumers that cannot hold whole logs,
 //! * [`wls`] — the weighted multivariate least-squares regression of
 //!   Section 2.5,

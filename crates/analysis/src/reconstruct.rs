@@ -121,9 +121,7 @@ mod tests {
                 start: t,
                 end: t + dur,
                 counts: (counts - prev) as u32,
-                states: (0..cat.sink_count())
-                    .map(|i| sv.state(SinkId(i as u16)))
-                    .collect(),
+                states: sv.key(),
             });
             prev = counts;
             t += dur;

@@ -1,19 +1,19 @@
-//! Incremental (chunk-wise) versions of the log parsers.
+//! Incremental (entry-by-entry) versions of the log parsers.
 //!
 //! The batch functions in [`crate::intervals`] take the whole log as a
 //! slice, which forces every consumer to hold every 12-byte entry in memory
-//! before analysis can even start.  The builders here accept the log in
-//! arbitrary chunks — the natural unit a `quanto_core::LogSink` receives —
-//! and emit completed intervals/segments eagerly, keeping only *open* state
-//! between chunks.  The batch functions are thin wrappers over them (and
-//! equivalence is property-tested), so feeding a builder the entire log as
-//! one chunk reproduces the batch output exactly, byte for byte.
+//! before analysis can even start.  The builders here accept the log one
+//! entry at a time, across the arbitrary chunks a `quanto_core::LogSink`
+//! receives, and emit completed intervals/segments eagerly, keeping only
+//! *open* state between entries.  The batch functions are thin wrappers over
+//! them (and equivalence is property-tested), so feeding a builder the
+//! entire log reproduces the batch output exactly, byte for byte.
 //!
 //! Memory held by each builder:
 //!
 //! * [`TimeUnwrapper`] — O(1): the wrap count and the previous 32-bit stamp.
-//! * [`IntervalBuilder`] — O(sinks) open state plus whatever completed
-//!   intervals the caller has not yet drained.
+//! * [`IntervalBuilder`] — O(1): one fixed-width state key and the cursor;
+//!   each closed interval is returned by the `push` that closed it.
 //! * [`SegmentBuilder`] with `resolve_bindings = false` — O(1) open state;
 //!   completed segments are final as soon as they close.
 //! * [`SegmentBuilder`] with `resolve_bindings = true` — completed segments
@@ -25,7 +25,7 @@
 //! * [`MultiSegmentBuilder`] — O(concurrent activities) open state.
 
 use crate::intervals::{ActivitySegment, MultiSegment, PowerInterval, UnwrappedEntry};
-use hw_model::{Catalog, SimTime, StateIndex};
+use hw_model::{Catalog, SimTime, StateIndex, StateVectorKey};
 use quanto_core::{ActivityLabel, DeviceId, EntryKind, LogEntry, Stamp};
 
 /// Incrementally reconstructs monotonic 64-bit time from the wrapping 32-bit
@@ -68,15 +68,15 @@ impl TimeUnwrapper {
     }
 }
 
-/// Incremental [`crate::intervals::power_intervals`]: feed it entry chunks,
-/// drain completed [`PowerInterval`]s as they close.
+/// Incremental [`crate::intervals::power_intervals`]: feed it entries one
+/// at a time, and each [`IntervalBuilder::push`] returns the interval that
+/// entry closed, if any.
 #[derive(Debug, Clone)]
 pub struct IntervalBuilder {
     unwrapper: TimeUnwrapper,
-    states: Vec<StateIndex>,
+    states: StateVectorKey,
     cursor_time: SimTime,
     cursor_counts: u32,
-    ready: Vec<PowerInterval>,
 }
 
 impl IntervalBuilder {
@@ -88,89 +88,59 @@ impl IntervalBuilder {
             states: catalog.sinks().map(|(_, s)| s.default_state).collect(),
             cursor_time: SimTime::ZERO,
             cursor_counts: 0,
-            ready: Vec::new(),
         }
     }
 
-    /// Consumes one entry.
-    pub fn push(&mut self, entry: &LogEntry) {
+    /// Consumes one entry, returning the interval it closed: a power-state
+    /// entry closes the span since the previous one, unless no time passed.
+    pub fn push(&mut self, entry: &LogEntry) -> Option<PowerInterval> {
         // Every entry advances the wrap detector, even the kinds this
         // builder ignores.
         let time = self.unwrapper.unwrap(entry.time_us);
         if entry.kind != EntryKind::PowerState {
-            return;
+            return None;
         }
         let sink = entry.sink().expect("power-state entry has a sink");
-        if time > self.cursor_time {
-            self.ready.push(PowerInterval {
-                start: self.cursor_time,
-                end: time,
-                counts: entry.icount.wrapping_sub(self.cursor_counts),
-                states: self.states.clone(),
-            });
-        }
-        if sink.as_usize() < self.states.len() {
-            self.states[sink.as_usize()] = StateIndex(entry.value as u8);
+        let closed = self.close_at(time, entry.icount);
+        if let Some(state) = self.states.get_mut(sink.as_usize()) {
+            *state = StateIndex(entry.value as u8);
         }
         self.cursor_time = time;
         self.cursor_counts = entry.icount;
+        closed
     }
 
-    /// Consumes one chunk of entries, in log order.
-    pub fn push_chunk(&mut self, chunk: &[LogEntry]) {
-        for entry in chunk {
-            self.push(entry);
-        }
+    /// Non-consuming [`IntervalBuilder::finish`]: returns the last interval,
+    /// closed at `final_stamp` (if any).  After a flush the builder should
+    /// be [`IntervalBuilder::reset`] before reuse — the closing interval has
+    /// already been emitted.
+    pub fn flush(&self, final_stamp: Option<Stamp>) -> Option<PowerInterval> {
+        final_stamp.and_then(|end| self.close_at(end.time, end.icount))
     }
 
-    /// Drains the intervals completed so far (each interval is emitted
-    /// exactly once across all drains and [`IntervalBuilder::finish`]).
-    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, PowerInterval> {
-        self.ready.drain(..)
-    }
-
-    /// Number of completed-but-undrained intervals.
-    pub fn completed_len(&self) -> usize {
-        self.ready.len()
-    }
-
-    /// Non-consuming [`IntervalBuilder::finish`]: closes the last interval
-    /// at `final_stamp` (if any), leaving it ready to drain.  After a flush
-    /// the builder should be [`IntervalBuilder::reset`] before reuse — the
-    /// closing interval has already been emitted.
-    pub fn flush(&mut self, final_stamp: Option<Stamp>) {
-        if let Some(end) = final_stamp {
-            if end.time > self.cursor_time {
-                self.ready.push(PowerInterval {
-                    start: self.cursor_time,
-                    end: end.time,
-                    counts: end.icount.wrapping_sub(self.cursor_counts),
-                    states: self.states.clone(),
-                });
-            }
-        }
+    /// The interval from the cursor to `(time, icount)`, unless no time
+    /// passed.
+    fn close_at(&self, time: SimTime, icount: u32) -> Option<PowerInterval> {
+        (time > self.cursor_time).then(|| PowerInterval {
+            start: self.cursor_time,
+            end: time,
+            counts: icount.wrapping_sub(self.cursor_counts),
+            states: self.states,
+        })
     }
 
     /// Returns the builder to its boot state (catalog-default sink states,
-    /// zero cursor, no wraps seen), keeping its allocations — so one builder
-    /// can be reused across runs without reallocating per-sink state.
+    /// zero cursor, no wraps seen), so one builder can be reused across
+    /// runs.
     pub fn reset(&mut self, catalog: &Catalog) {
-        self.unwrapper = TimeUnwrapper::new();
-        self.states.clear();
-        self.states
-            .extend(catalog.sinks().map(|(_, s)| s.default_state));
-        self.cursor_time = SimTime::ZERO;
-        self.cursor_counts = 0;
-        self.ready.clear();
+        *self = IntervalBuilder::new(catalog);
     }
 
     /// Closes the stream.  If `final_stamp` is given it closes the last
-    /// interval (the simulator records one at the end of a run); otherwise
-    /// the span after the final power-state entry is dropped.  Returns the
-    /// undrained completed intervals.
-    pub fn finish(mut self, final_stamp: Option<Stamp>) -> Vec<PowerInterval> {
-        self.flush(final_stamp);
-        self.ready
+    /// interval (the simulator records one at the end of a run) and returns
+    /// it; otherwise the span after the final power-state entry is dropped.
+    pub fn finish(self, final_stamp: Option<Stamp>) -> Option<PowerInterval> {
+        self.flush(final_stamp)
     }
 }
 
@@ -454,8 +424,7 @@ mod tests {
             let mut b = IntervalBuilder::new(&cat);
             let mut streamed = Vec::new();
             for chunk in log.chunks(chunk_size) {
-                b.push_chunk(chunk);
-                streamed.extend(b.drain_completed());
+                streamed.extend(chunk.iter().filter_map(|e| b.push(e)));
             }
             streamed.extend(b.finish(stamp));
             assert_eq!(streamed, batch, "chunk size {chunk_size}");
@@ -535,11 +504,9 @@ mod tests {
         for round in 0..3 {
             let mut streamed = Vec::new();
             for chunk in log.chunks(2) {
-                b.push_chunk(chunk);
-                streamed.extend(b.drain_completed());
+                streamed.extend(chunk.iter().filter_map(|e| b.push(e)));
             }
-            b.flush(stamp);
-            streamed.extend(b.drain_completed());
+            streamed.extend(b.flush(stamp));
             assert_eq!(streamed, batch, "round {round}");
             b.reset(&cat);
         }

@@ -15,7 +15,9 @@
 
 use crate::intervals::PowerInterval;
 use crate::matrix::{weighted_least_squares, Matrix, MatrixError};
-use hw_model::{Catalog, Current, Energy, Power, SimDuration, SinkId, StateIndex, Voltage};
+use hw_model::{
+    Catalog, Current, Energy, Power, SimDuration, SinkId, StateIndex, StateVectorKey, Voltage,
+};
 use std::collections::BTreeMap;
 
 /// One pooled observation: a unique combination of power states with the
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     /// Per-sink state indices for this pooled state.
-    pub states: Vec<StateIndex>,
+    pub states: StateVectorKey,
     /// Total time spent in this state combination.
     pub time: SimDuration,
     /// Total (nominal) energy metered in this state combination.
@@ -54,7 +56,7 @@ impl Observation {
 /// week-long log without holding it.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationPool {
-    grouped: BTreeMap<Vec<u8>, (SimDuration, u64)>,
+    grouped: BTreeMap<StateVectorKey, (SimDuration, u64)>,
 }
 
 impl ObservationPool {
@@ -65,8 +67,10 @@ impl ObservationPool {
 
     /// Folds one interval into the pool.
     pub fn add(&mut self, interval: &PowerInterval) {
-        let key: Vec<u8> = interval.states.iter().map(|s| s.as_u8()).collect();
-        let slot = self.grouped.entry(key).or_insert((SimDuration::ZERO, 0));
+        let slot = self
+            .grouped
+            .entry(interval.states)
+            .or_insert((SimDuration::ZERO, 0));
         slot.0 += interval.duration();
         slot.1 += interval.counts as u64;
     }
@@ -92,22 +96,9 @@ impl ObservationPool {
         self.grouped
             .iter()
             .map(|(key, (time, counts))| Observation {
-                states: key.iter().copied().map(StateIndex).collect(),
+                states: *key,
                 time: *time,
                 energy: energy_per_count * *counts as f64,
-            })
-            .collect()
-    }
-
-    /// Like [`ObservationPool::observations`], but consumes the pool and
-    /// reuses its key allocations — the batch path.
-    pub fn into_observations(self, energy_per_count: Energy) -> Vec<Observation> {
-        self.grouped
-            .into_iter()
-            .map(|(key, (time, counts))| Observation {
-                states: key.into_iter().map(StateIndex).collect(),
-                time,
-                energy: energy_per_count * counts as f64,
             })
             .collect()
     }
@@ -121,7 +112,7 @@ pub fn pool_intervals(intervals: &[PowerInterval], energy_per_count: Energy) -> 
     for iv in intervals {
         pool.add(iv);
     }
-    pool.into_observations(energy_per_count)
+    pool.observations(energy_per_count)
 }
 
 /// Options controlling the regression.
@@ -413,9 +404,7 @@ mod tests {
                 start: t,
                 end: t + dur,
                 counts: (counts_now - prev_counts) as u32,
-                states: (0..cat.sink_count())
-                    .map(|i| sv.state(SinkId(i as u16)))
-                    .collect(),
+                states: sv.key(),
             });
             prev_counts = counts_now;
             t += dur;
@@ -427,7 +416,7 @@ mod tests {
     fn pooling_merges_equal_states() {
         let (mut intervals, _cat, _leds, _cpu) = blink_intervals();
         // Duplicate the first interval; pooling should merge it.
-        let dup = intervals[0].clone();
+        let dup = intervals[0];
         intervals.push(PowerInterval {
             start: SimTime::from_secs(100),
             end: SimTime::from_secs(101),
@@ -514,7 +503,7 @@ mod tests {
         ));
         // Two observations (LED0+LED1 on, LED0+LED2 on) leave LED1, LED2 and
         // the constant as three unknowns: underdetermined.
-        let two = [intervals[3].clone(), intervals[5].clone()];
+        let two = [intervals[3], intervals[5]];
         let few = pool_intervals(&two, Energy::from_micro_joules(1.0));
         assert!(matches!(
             regress(&few, &cat, RegressionOptions::default()),
@@ -545,9 +534,7 @@ mod tests {
                 start: SimTime::from_secs(i as u64),
                 end: SimTime::from_secs(i as u64 + 1),
                 counts,
-                states: (0..cat.sink_count())
-                    .map(|k| sv.state(SinkId(k as u16)))
-                    .collect(),
+                states: sv.key(),
             });
         }
         let err = regress_intervals(
@@ -583,9 +570,7 @@ mod tests {
                 start: SimTime::from_secs(mask as u64),
                 end: SimTime::from_secs(mask as u64 + 1),
                 counts: e as u32,
-                states: (0..cat.sink_count())
-                    .map(|k| sv.state(SinkId(k as u16)))
-                    .collect(),
+                states: sv.key(),
             });
         }
         let result = regress_intervals(
@@ -605,12 +590,12 @@ mod tests {
     #[test]
     fn observation_weight_grows_with_energy_and_time() {
         let a = Observation {
-            states: vec![],
+            states: StateVectorKey::default(),
             time: SimDuration::from_secs(1),
             energy: Energy::from_micro_joules(100.0),
         };
         let b = Observation {
-            states: vec![],
+            states: StateVectorKey::default(),
             time: SimDuration::from_secs(4),
             energy: Energy::from_micro_joules(400.0),
         };

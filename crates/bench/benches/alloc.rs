@@ -1,8 +1,8 @@
 //! Criterion bench: allocator traffic on the hot paths.
 //!
 //! `alloc/steady_state_record` measures the warm record → flush-drain →
-//! chunked-digest-fold pipeline — the per-entry cost the counting-allocator
-//! gate proves is allocation-free, timed here so a regression that sneaks an
+//! digest-fold pipeline — the per-entry cost the counting-allocator gate
+//! proves is allocation-free, timed here so a regression that sneaks an
 //! allocation back in also shows up as a latency cliff.
 //!
 //! `fleet/workspace_reuse` vs `fleet/workspace_fresh` measure the same
@@ -20,15 +20,16 @@ use std::rc::Rc;
 fn bench_steady_state_record(c: &mut Criterion) {
     let mut group = c.benchmark_group("alloc");
     const CAP: usize = 800;
-    // One long-lived logger: the buffer and the sink's encode scratch are
-    // warm after the first batch, so every sample measures the steady state.
-    let digest = Rc::new(RefCell::new((StreamDigest::new(), Vec::<u8>::new())));
+    // One long-lived logger: the buffer is warm after the first batch, so
+    // every sample measures the steady state.
+    let digest = Rc::new(RefCell::new(StreamDigest::new()));
     let tap = digest.clone();
     let mut logger = RamLogger::new(CAP, OverflowPolicy::Flush);
     logger.set_sink(Box::new(move |chunk: &[LogEntry]| {
-        let mut guard = tap.borrow_mut();
-        let (digest, scratch) = &mut *guard;
-        digest.fold_chunk(chunk, scratch);
+        let mut digest = tap.borrow_mut();
+        for entry in chunk {
+            digest.fold(entry);
+        }
     }));
     for i in 0..2_000u32 {
         logger.record(LogEntry::power_state(

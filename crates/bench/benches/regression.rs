@@ -4,7 +4,7 @@
 use analysis::{pool_intervals, regress, regress_intervals, RegressionOptions};
 use criterion::{criterion_group, criterion_main, Criterion};
 use hw_model::catalog::{blink_catalog, led_state};
-use hw_model::{Energy, PowerModel, SimDuration, SimTime, SinkId, StateVector};
+use hw_model::{Energy, PowerModel, SimDuration, SimTime, StateVector};
 use std::sync::Arc;
 
 fn blink_like_intervals(n_cycles: usize) -> (Vec<analysis::PowerInterval>, Arc<hw_model::Catalog>) {
@@ -30,9 +30,7 @@ fn blink_like_intervals(n_cycles: usize) -> (Vec<analysis::PowerInterval>, Arc<h
                 start: t,
                 end: t + dur,
                 counts: (counts - prev) as u32,
-                states: (0..cat.sink_count())
-                    .map(|i| sv.state(SinkId(i as u16)))
-                    .collect(),
+                states: sv.key(),
             });
             prev = counts;
             t += dur;

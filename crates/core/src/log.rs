@@ -339,19 +339,6 @@ impl LogEncoding {
         }
     }
 
-    /// Encodes one entry, appending its bytes to `out`.
-    pub fn encode_entry(self, entry: &LogEntry, out: &mut Vec<u8>) {
-        debug_assert!(
-            self.fits(entry),
-            "value 0x{:x} does not fit {self:?}",
-            entry.value
-        );
-        match self {
-            LogEncoding::V1 => out.extend_from_slice(&entry.encode()),
-            LogEncoding::V2 => out.extend_from_slice(&entry.encode_v2()),
-        }
-    }
-
     /// The minimal encoding for a fleet whose node ids include `max_id`:
     /// v1 while every origin fits one byte, v2 beyond.
     pub fn required_for(max_id: crate::activity::NodeId) -> LogEncoding {
@@ -461,13 +448,6 @@ mod tests {
         assert_eq!(V2::decode(&e.encode_v2()), Some(e));
         assert_eq!(V1::ENCODING.entry_size(), ENTRY_SIZE_BYTES);
         assert_eq!(V2::ENCODING.entry_size(), ENTRY_SIZE_BYTES_V2);
-
-        let mut buf = Vec::new();
-        LogEncoding::V1.encode_entry(&e, &mut buf);
-        LogEncoding::V2.encode_entry(&e, &mut buf);
-        assert_eq!(buf.len(), ENTRY_SIZE_BYTES + ENTRY_SIZE_BYTES_V2);
-        assert_eq!(&buf[..ENTRY_SIZE_BYTES], &e.encode());
-        assert_eq!(&buf[ENTRY_SIZE_BYTES..], &e.encode_v2());
     }
 
     #[test]

@@ -141,26 +141,17 @@ impl StreamDigest {
 
     /// Folds one entry's encoded bytes.
     pub fn fold(&mut self, entry: &LogEntry) {
+        debug_assert!(
+            self.encoding.fits(entry),
+            "value 0x{:x} does not fit {:?}",
+            entry.value,
+            self.encoding
+        );
         match self.encoding {
             LogEncoding::V1 => self.hash.write(&entry.encode()),
             LogEncoding::V2 => self.hash.write(&entry.encode_v2()),
         }
         self.entries += 1;
-    }
-
-    /// Folds a whole chunk in one pass: encodes every entry into `scratch`
-    /// (cleared first, capacity retained across calls) and folds the
-    /// concatenated bytes.  The digest is identical to calling
-    /// [`StreamDigest::fold`] per entry — the same bytes in the same order —
-    /// but a warm scratch buffer makes the steady-state path allocation-free
-    /// and replaces per-entry array round-trips with one linear fold.
-    pub fn fold_chunk(&mut self, chunk: &[LogEntry], scratch: &mut Vec<u8>) {
-        scratch.clear();
-        for entry in chunk {
-            self.encoding.encode_entry(entry, scratch);
-        }
-        self.hash.write(scratch);
-        self.entries += chunk.len() as u64;
     }
 
     /// The digest over every entry folded so far.
@@ -298,36 +289,6 @@ mod tests {
         let mut explicit = StreamDigest::with_encoding(LogEncoding::V1);
         explicit.accept(&entries);
         assert_eq!(explicit.digest(), v1.digest());
-    }
-
-    #[test]
-    fn fold_chunk_matches_per_entry_fold_for_both_encodings() {
-        let entries: Vec<LogEntry> = (0..37).map(entry).collect();
-        for encoding in [LogEncoding::V1, LogEncoding::V2] {
-            let mut per_entry = StreamDigest::with_encoding(encoding);
-            for e in &entries {
-                per_entry.fold(e);
-            }
-            let mut chunked = StreamDigest::with_encoding(encoding);
-            let mut scratch = Vec::new();
-            chunked.fold_chunk(&entries[..5], &mut scratch);
-            chunked.fold_chunk(&[], &mut scratch);
-            chunked.fold_chunk(&entries[5..], &mut scratch);
-            assert_eq!(per_entry.digest(), chunked.digest(), "{encoding:?}");
-            assert_eq!(per_entry.entries(), chunked.entries());
-        }
-    }
-
-    #[test]
-    fn fold_chunk_reuses_scratch_capacity() {
-        let entries: Vec<LogEntry> = (0..8).map(entry).collect();
-        let mut d = StreamDigest::new();
-        let mut scratch = Vec::new();
-        d.fold_chunk(&entries, &mut scratch);
-        let cap = scratch.capacity();
-        assert!(cap >= entries.len() * crate::log::ENTRY_SIZE_BYTES);
-        d.fold_chunk(&entries, &mut scratch);
-        assert_eq!(scratch.capacity(), cap, "warm scratch must not regrow");
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! This is a dedicated integration-test binary because `#[global_allocator]`
 //! is per-binary: a counting allocator wraps the system one, and the test
 //! proves that once the record → flush-drain → digest-fold pipeline is warm
-//! (buffer at capacity, encode scratch grown), pushing thousands more
-//! entries through it performs **zero** heap allocations.  This is the
-//! property the pooled `SimWorkspace` sweep path stands on — per-entry cost
-//! is pure compute, never allocator traffic.
+//! (buffer at capacity), pushing thousands more entries through it performs
+//! **zero** heap allocations.  `crates/fleet/tests/sink_alloc.rs` extends
+//! the gate to the whole per-node analysis sink of a streamed scenario.
 //!
 //! The binary holds exactly one `#[test]` so no concurrent test can touch
 //! the allocator between the two counter reads.
@@ -56,20 +55,20 @@ fn entry(i: u64) -> LogEntry {
 fn steady_state_record_drain_fold_allocates_nothing() {
     const CAP: usize = 64;
     const STEADY_ENTRIES: u64 = 64 * CAP as u64;
-    // The sink drives the chunked digest fold with a reusable scratch
-    // buffer — the exact shape the fleet's streaming LiveNode sink has.
-    let state = Rc::new(RefCell::new((StreamDigest::new(), Vec::<u8>::new())));
+    // The sink folds each drained entry into the digest, as the fleet's
+    // streaming LiveNode sink does.
+    let state = Rc::new(RefCell::new(StreamDigest::new()));
     let tap = state.clone();
     let mut logger = RamLogger::new(CAP, OverflowPolicy::Flush);
     logger.set_sink(Box::new(move |chunk: &[LogEntry]| {
-        let mut guard = tap.borrow_mut();
-        let (digest, scratch) = &mut *guard;
-        digest.fold_chunk(chunk, scratch);
+        let mut digest = tap.borrow_mut();
+        for entry in chunk {
+            digest.fold(entry);
+        }
     }));
 
     // Warm-up: several full overflow cycles, so the RAM buffer sits at its
-    // reserved capacity and the encode scratch has grown to one chunk's
-    // worth of encoded bytes.
+    // reserved capacity.
     for i in 0..(4 * CAP as u64) {
         logger.record(entry(i));
     }
@@ -101,7 +100,8 @@ fn steady_state_record_drain_fold_allocates_nothing() {
     // Sanity: the pipeline actually ran — every recorded entry reached the
     // digest (minus at most one buffer still waiting to flush).
     drop(logger);
-    let (digest, scratch) = &*state.borrow();
-    assert!(digest.entries() >= STEADY_ENTRIES, "sink saw the stream");
-    assert!(scratch.capacity() > 0, "scratch was warmed");
+    assert!(
+        state.borrow().entries() >= STEADY_ENTRIES,
+        "sink saw the stream"
+    );
 }

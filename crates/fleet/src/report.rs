@@ -199,13 +199,13 @@ pub struct ScenarioResult {
 }
 
 /// The live per-node analysis state a streaming scenario's sink drives:
-/// everything is folded chunk-by-chunk as the logger drains, so memory is
+/// every entry is folded as the logger drains, in one pass, so memory is
 /// bounded by the builders' *open* state, never by the log length.
 ///
 /// Pooled by [`crate::workspace::SimWorkspace`]: between scenarios
 /// [`LiveNode::reset`] returns the builders to boot state while keeping
-/// every allocation (per-sink state vectors, segment buffers, the encode
-/// scratch), so the steady-state sweep path builds no per-node state.
+/// the segment builder's buffers, so the steady-state sweep path builds no
+/// per-node state.
 pub(crate) struct LiveNode {
     catalog: Arc<Catalog>,
     radio_rx: SinkId,
@@ -218,9 +218,6 @@ pub(crate) struct LiveNode {
     /// Log-drain chunks this sink consumed (a plain count the obs layer
     /// reads after the run; never branches on the hot path).
     chunks: u64,
-    /// Reusable encode buffer for the chunked digest fold — warm after the
-    /// first full chunk, so folding allocates nothing at steady state.
-    scratch: Vec<u8>,
 }
 
 impl LiveNode {
@@ -241,7 +238,6 @@ impl LiveNode {
             stats: IntervalStats::new(),
             cpu_segments: 0,
             chunks: 0,
-            scratch: Vec::new(),
             catalog,
         }
     }
@@ -269,22 +265,24 @@ impl LiveNode {
         self.catalog = catalog;
     }
 
-    /// Consumes one chunk: entry digest, power intervals, CPU segments.
+    /// Consumes one chunk in one pass: each entry folds into the digest,
+    /// closes at most one power interval into the stats, and feeds the CPU
+    /// segment builder.
     fn accept(&mut self, chunk: &[LogEntry]) {
         self.chunks += 1;
-        self.digest.fold_chunk(chunk, &mut self.scratch);
-        self.builder.push_chunk(chunk);
-        for iv in self.builder.drain_completed() {
-            self.stats.absorb(&iv, self.radio_rx, self.energy_per_count);
+        for entry in chunk {
+            self.digest.fold(entry);
+            if let Some(iv) = self.builder.push(entry) {
+                self.stats.absorb(&iv, self.radio_rx, self.energy_per_count);
+            }
+            self.segments.push(entry);
         }
-        self.segments.push_chunk(chunk);
         self.cpu_segments += self.segments.drain_completed().count() as u64;
     }
 
     /// Closes both builders at the end-of-run stamp.
     fn close(&mut self, final_stamp: Stamp) {
-        self.builder.flush(Some(final_stamp));
-        for iv in self.builder.drain_completed() {
+        if let Some(iv) = self.builder.flush(Some(final_stamp)) {
             self.stats.absorb(&iv, self.radio_rx, self.energy_per_count);
         }
         self.segments.flush(Some(final_stamp));

@@ -9,7 +9,7 @@
 //! * every node's RAM log buffer (recycled through the kernel teardown),
 //! * the medium's spatial-index cell grid, and
 //! * the per-node analysis slots (`LiveNode`: interval/segment builders,
-//!   the stream digest's encode scratch, the observation pool).
+//!   the stream digest, the observation pool).
 //!
 //! [`crate::ScenarioResult::execute_streaming_in`] checks these out, runs
 //! one scenario, and hands them back — so a worker thread sweeping N

@@ -5,6 +5,7 @@
 //! and a 1 MHz clock.
 
 use crate::sink::{ComponentClass, EnergySink, PowerStateDef, StateIndex};
+use crate::state_vector::KEY_CAPACITY;
 use crate::units::Current;
 use std::collections::HashMap;
 use std::fmt;
@@ -138,11 +139,20 @@ impl CatalogBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a sink with the same name was already added.
+    /// Panics if a sink with the same name was already added, or if the
+    /// catalog already holds [`KEY_CAPACITY`] sinks (a [`StateVectorKey`]
+    /// keeps one byte per sink).
+    ///
+    /// [`StateVectorKey`]: crate::StateVectorKey
     pub fn add(&mut self, sink: EnergySink) -> SinkId {
         assert!(
             !self.sinks.iter().any(|s| s.name == sink.name),
             "duplicate sink name: {}",
+            sink.name
+        );
+        assert!(
+            self.sinks.len() < KEY_CAPACITY,
+            "too many sinks: a state-vector key holds at most {KEY_CAPACITY}, cannot add {}",
             sink.name
         );
         let id = SinkId(self.sinks.len() as u16);
@@ -673,6 +683,19 @@ mod tests {
             ComponentClass::Other,
             vec![PowerStateDef::new("OFF", Current::ZERO)],
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "too many sinks")]
+    fn sinks_beyond_the_key_capacity_are_rejected() {
+        let mut b = CatalogBuilder::new();
+        for i in 0..=KEY_CAPACITY {
+            b.add(EnergySink::new(
+                format!("s{i}"),
+                ComponentClass::Other,
+                vec![PowerStateDef::new("OFF", Current::ZERO)],
+            ));
+        }
     }
 
     #[test]

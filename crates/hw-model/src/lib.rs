@@ -33,5 +33,5 @@ pub use catalog::{Catalog, CatalogBuilder, SinkId};
 pub use noise::NoiseModel;
 pub use power::{EnergyAccumulator, PowerModel};
 pub use sink::{ComponentClass, EnergySink, PowerStateDef, StateIndex};
-pub use state_vector::StateVector;
+pub use state_vector::{StateVector, StateVectorKey, KEY_CAPACITY};
 pub use units::{Current, Energy, Power, SimDuration, SimTime, Voltage};

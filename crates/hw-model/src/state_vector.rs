@@ -3,7 +3,9 @@
 use crate::catalog::{Catalog, SinkId};
 use crate::sink::StateIndex;
 use crate::units::Current;
+use std::cmp::Ordering;
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// The active power state of every sink in a catalog at one instant.
 ///
@@ -71,7 +73,7 @@ impl StateVector {
     /// Intervals with equal keys can be pooled before the regression, which is
     /// exactly the grouping step of Section 2.5.
     pub fn key(&self) -> StateVectorKey {
-        StateVectorKey(self.states.iter().map(|s| s.as_u8()).collect())
+        self.states.iter().copied().collect()
     }
 
     /// Sum of nominal currents across all sinks in their current states.
@@ -113,32 +115,104 @@ impl StateVector {
     }
 }
 
-/// A hashable key for a [`StateVector`]; see [`StateVector::key`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StateVectorKey(Vec<u8>);
+/// The most sinks a [`StateVectorKey`] holds, and so the most a
+/// [`Catalog`] may have: one byte per sink.
+pub const KEY_CAPACITY: usize = 32;
+
+/// A fixed-width, `Copy` key for one combination of power states, one byte
+/// per sink; see [`StateVector::key`].
+///
+/// It dereferences to the per-sink `[StateIndex]` slice, so `key[sink]`
+/// and `key.iter()` read it like the vector it came from.  Keys order
+/// exactly like their state bytes as a `Vec<u8>` (lexicographically, a
+/// prefix first), which fixes the order of pooled regression observations.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct StateVectorKey {
+    /// The states of the first `len` sinks; every later slot stays zero.
+    states: [StateIndex; KEY_CAPACITY],
+    len: u8,
+}
 
 impl StateVectorKey {
-    /// Reconstructs the per-sink state indices from the key.
-    pub fn states(&self) -> Vec<StateIndex> {
-        self.0.iter().map(|v| StateIndex(*v)).collect()
-    }
-
     /// Rebuilds a full [`StateVector`] from the key.
     pub fn to_vector(&self) -> StateVector {
         StateVector {
-            states: self.states(),
+            states: self.to_vec(),
         }
+    }
+
+    /// The state bytes as two big-endian words, so that comparing the words
+    /// compares the bytes in order.
+    fn words(&self) -> (u128, u128) {
+        const { assert!(KEY_CAPACITY == 32, "the key is two 16-byte words") };
+        let bytes = self.states.map(StateIndex::as_u8);
+        let word = |i: usize| {
+            u128::from_be_bytes(bytes[16 * i..16 * (i + 1)].try_into().expect("16 bytes"))
+        };
+        (word(0), word(1))
+    }
+}
+
+/// Collects per-sink states in sink order.
+///
+/// # Panics
+///
+/// Panics on more than [`KEY_CAPACITY`] states.
+impl FromIterator<StateIndex> for StateVectorKey {
+    fn from_iter<I: IntoIterator<Item = StateIndex>>(iter: I) -> Self {
+        let mut key = StateVectorKey::default();
+        for state in iter {
+            key.states[key.len as usize] = state;
+            key.len += 1;
+        }
+        key
+    }
+}
+
+impl Deref for StateVectorKey {
+    type Target = [StateIndex];
+
+    fn deref(&self) -> &[StateIndex] {
+        &self.states[..self.len as usize]
+    }
+}
+
+impl DerefMut for StateVectorKey {
+    fn deref_mut(&mut self) -> &mut [StateIndex] {
+        &mut self.states[..self.len as usize]
+    }
+}
+
+impl Ord for StateVectorKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Unused slots are zero, so equal words with a shorter length mean
+        // a prefix, which sorts first, as in `Vec<u8>` order.
+        self.words()
+            .cmp(&other.words())
+            .then(self.len.cmp(&other.len))
+    }
+}
+
+impl PartialOrd for StateVectorKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for StateVectorKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("StateVectorKey").field(&&**self).finish()
     }
 }
 
 impl fmt::Display for StateVectorKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "[")?;
-        for (i, v) in self.0.iter().enumerate() {
+        for (i, v) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }
-            write!(f, "{v}")?;
+            write!(f, "{}", v.as_u8())?;
         }
         write!(f, "]")
     }
@@ -203,5 +277,54 @@ mod tests {
         let key = sv.key();
         assert_eq!(key.to_vector(), sv);
         assert_eq!(format!("{key}"), "[0,1,0,0]");
+        assert_eq!(key.len(), 4);
+        assert_eq!(key[leds[0].as_usize()], led_state::ON);
+    }
+
+    fn key_of(bytes: &[u8]) -> StateVectorKey {
+        bytes.iter().map(|b| StateIndex(*b)).collect()
+    }
+
+    #[test]
+    fn keys_of_different_lengths_order_like_byte_vectors() {
+        let cases: [&[u8]; 7] = [&[], &[0], &[0, 0], &[0, 5], &[1], &[1, 0], &[255; 32]];
+        for a in cases {
+            for b in cases {
+                assert_eq!(key_of(a).cmp(&key_of(b)), a.cmp(b), "{a:?} vs {b:?}");
+                assert_eq!(key_of(a) == key_of(b), a == b, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// A random state vector of the hydrowatch catalog, any byte per sink.
+    fn hydrowatch_vector(bytes: &[u8]) -> StateVector {
+        let (cat, _) = crate::catalog::hydrowatch();
+        let mut sv = StateVector::boot(&cat);
+        for ((sink, _), b) in cat.sinks().zip(bytes) {
+            sv.set_state(sink, StateIndex(*b));
+        }
+        sv
+    }
+
+    proptest::proptest! {
+        /// The key orders like the byte vector it replaced, which keeps the
+        /// pooled observations, and so the regression columns, in the same
+        /// order; and it turns back into the same per-sink states.
+        #[test]
+        fn key_order_matches_byte_vector_order(
+            a in proptest::collection::vec(proptest::any::<u8>(), KEY_CAPACITY),
+            b in proptest::collection::vec(proptest::any::<u8>(), KEY_CAPACITY),
+            shared in 0usize..=KEY_CAPACITY,
+        ) {
+            // Share a prefix so that comparisons also reach later sinks.
+            let b: Vec<u8> = a[..shared].iter().chain(&b[shared..]).copied().collect();
+            let (va, vb) = (hydrowatch_vector(&a), hydrowatch_vector(&b));
+            let bytes = |v: &StateVector| v.iter().map(|(_, s)| s.as_u8()).collect::<Vec<u8>>();
+            let (ka, kb) = (va.key(), vb.key());
+            proptest::prop_assert_eq!(ka.cmp(&kb), bytes(&va).cmp(&bytes(&vb)));
+            proptest::prop_assert_eq!(ka == kb, bytes(&va) == bytes(&vb));
+            proptest::prop_assert_eq!(&ka[..], &va.states[..]);
+            proptest::prop_assert_eq!(ka.to_vector(), va);
+        }
     }
 }

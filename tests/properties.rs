@@ -114,7 +114,7 @@ proptest! {
                 start: t,
                 end: t + dur,
                 counts: (counts - prev) as u32,
-                states: (0..cat.sink_count()).map(|i| sv.state(SinkId(i as u16))).collect(),
+                states: sv.key(),
             });
             prev = counts;
             t += dur;
@@ -188,13 +188,12 @@ proptest! {
         let mut streamed = Vec::new();
         let mut pool = analysis::ObservationPool::new();
         for c in entries.chunks(chunk) {
-            builder.push_chunk(c);
-            for iv in builder.drain_completed() {
+            for iv in c.iter().filter_map(|e| builder.push(e)) {
                 pool.add(&iv);
                 streamed.push(iv);
             }
         }
-        for iv in builder.finish(stamp) {
+        if let Some(iv) = builder.finish(stamp) {
             pool.add(&iv);
             streamed.push(iv);
         }
