@@ -155,7 +155,8 @@ pub struct QuantoRuntime {
     cost_stats: CostStats,
     mode: AccountingMode,
     counters: OnlineCounters,
-    /// Last stamp at which each single-activity device changed activity.
+    /// Last stamp at which each single-activity device changed activity;
+    /// only the modes that keep counters read it, so only they write it.
     last_change: HashMap<DeviceId, Stamp>,
     /// The device whose activity aggregate energy is charged to in Counters
     /// mode (normally the CPU).
@@ -422,8 +423,8 @@ impl QuantoRuntime {
                     *self.counters.counts_per.entry(prev_label).or_insert(0) += delta;
                 }
             }
+            self.last_change.insert(dev, stamp);
         }
-        self.last_change.insert(dev, stamp);
     }
 
     fn record(&mut self, entry: LogEntry) {

@@ -205,15 +205,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
                 }
                 *pos += 1;
             }
+            0x00..=0x1f => return None,
             _ => {
-                // Consume one UTF-8 scalar (multi-byte sequences included).
-                let rest = std::str::from_utf8(&bytes[*pos..]).ok()?;
-                let c = rest.chars().next()?;
-                if (c as u32) < 0x20 {
-                    return None;
+                // Copy the run of plain bytes up to the next quote, backslash
+                // or control byte in one piece.  Those stops are ASCII, so
+                // the run ends on a scalar boundary and validates alone.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\' | 0x00..=0x1f)) {
+                    *pos += 1;
                 }
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(std::str::from_utf8(&bytes[start..*pos]).ok()?);
             }
         }
     }
@@ -444,6 +445,35 @@ mod tests {
         write_line(&mut writer, "{\"t\":\"next\"}").expect("write");
         assert_eq!(writer.writes, vec![b"{\"t\":\"next\"}\n".to_vec()]);
         assert_eq!(writer.flushes, 1);
+    }
+
+    /// The reader copies each run of plain bytes in one piece, so a long
+    /// string costs linear time: 4 MiB of text with multi-byte scalars and
+    /// escapes parses in milliseconds, where re-validating the rest of the
+    /// document per character would take hours.
+    #[test]
+    fn a_four_mebibyte_string_parses_in_linear_time() {
+        let mut text = String::new();
+        while text.len() < 4 << 20 {
+            text.push_str("plain, ünïcödé ✓ 𝄞 \"quoted\" \\ tab\t line\n \u{1} ");
+        }
+        let mut doc = String::from("{\"s\":");
+        push_json_str(&mut doc, &text);
+        doc.push('}');
+        // Parse on a thread of its own, so that a slow parser fails the
+        // test at the deadline instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(Value::parse(&doc));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a 4 MiB string must parse within 10 s");
+        parser.join().expect("parser thread");
+        assert_eq!(
+            parsed.as_ref().and_then(|v| v.get_str("s")),
+            Some(text.as_str())
+        );
     }
 
     #[test]

@@ -15,7 +15,11 @@
 //!   vector, including a configurable deviation of the *true* per-state
 //!   currents from their nominal (datasheet) values, and
 //! * [`power::EnergyAccumulator`] — integration of ground-truth energy over a
-//!   sequence of state-vector transitions.
+//!   sequence of state-vector transitions.  It caches each sink's true power
+//!   and the aggregate power, recomputes them only when a sink's state
+//!   changes, and sums the aggregate in sink order as
+//!   [`power::PowerModel::true_power`] does, so its results are
+//!   bit-identical to walking the model at every step.
 //!
 //! Everything downstream (the simulated iCount meter, the Quanto tracker, the
 //! offline regression) observes the platform only through these types, which

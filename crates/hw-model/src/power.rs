@@ -131,6 +131,15 @@ impl EnergyBreakdown {
 /// The accumulator is the simulator's "physics": drivers report state changes
 /// to it and it charges the battery model accordingly.  The simulated iCount
 /// meter is fed from [`EnergyAccumulator::total_energy`].
+///
+/// Powers are cached, not walked: each sink's true power
+/// ([`PowerModel::true_sink_power`]) and the state vector's aggregate power
+/// ([`PowerModel::true_power`], summed over sinks in sink order) are fields,
+/// recomputed in [`EnergyAccumulator::set_state`] only when the sink's state
+/// actually changes.  [`EnergyAccumulator::advance`] is then one
+/// multiply-add per sink plus one for the total, and
+/// [`EnergyAccumulator::current_power`] a field read, with results
+/// bit-identical to walking the model at every step.
 #[derive(Debug, Clone)]
 pub struct EnergyAccumulator {
     model: Arc<PowerModel>,
@@ -140,6 +149,11 @@ pub struct EnergyAccumulator {
     /// Per-sink attribution, dense-indexed by `SinkId` — `advance` runs on
     /// every instrumentation stamp, so this must not hash.
     per_sink: Vec<Energy>,
+    /// Each sink's true power in its current state, dense-indexed by
+    /// `SinkId`.
+    sink_power: Vec<Power>,
+    /// `model.true_power(&state)`.
+    power: Power,
 }
 
 impl EnergyAccumulator {
@@ -147,12 +161,19 @@ impl EnergyAccumulator {
     pub fn new(model: Arc<PowerModel>) -> Self {
         let state = StateVector::boot(model.catalog());
         let per_sink = vec![Energy::ZERO; state.len()];
+        let sink_power = state
+            .iter()
+            .map(|(sink, _)| model.true_sink_power(&state, sink))
+            .collect();
+        let power = model.true_power(&state);
         EnergyAccumulator {
             model,
             state,
             now: SimTime::ZERO,
             total: Energy::ZERO,
             per_sink,
+            sink_power,
+            power,
         }
     }
 
@@ -178,7 +199,7 @@ impl EnergyAccumulator {
 
     /// The current true aggregate power draw.
     pub fn current_power(&self) -> Power {
-        self.model.true_power(&self.state)
+        self.power
     }
 
     /// Advances the integration clock to `to`, charging energy for the
@@ -191,13 +212,13 @@ impl EnergyAccumulator {
             return;
         }
         let dur = to.duration_since(self.now);
-        for (sink, state) in self.state.iter() {
-            let e = (self.model.true_state_current(sink, state) * self.model.supply()) * dur;
+        for (energy, &power) in self.per_sink.iter_mut().zip(&self.sink_power) {
+            let e = power * dur;
             if e != Energy::ZERO {
-                self.per_sink[sink.as_usize()] += e;
+                *energy += e;
             }
         }
-        self.total += self.model.energy_over(&self.state, dur);
+        self.total += self.power * dur;
         self.now = to;
     }
 
@@ -220,7 +241,12 @@ impl EnergyAccumulator {
             self.now
         );
         self.advance(at);
-        self.state.set_state(sink, state)
+        let prev = self.state.set_state(sink, state);
+        if prev != state {
+            self.sink_power[sink.as_usize()] = self.model.true_sink_power(&self.state, sink);
+            self.power = self.model.true_power(&self.state);
+        }
+        prev
     }
 
     /// Returns the ground-truth energy breakdown accumulated so far.
@@ -242,7 +268,121 @@ impl EnergyAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{blink_catalog, led_state};
+    use crate::catalog::{blink_catalog, hydrowatch, led_state};
+
+    /// The integrator before it cached powers: every step walks the model.
+    /// The reference [`EnergyAccumulator`] must match bit for bit.
+    struct WalkingAccumulator {
+        model: Arc<PowerModel>,
+        state: StateVector,
+        now: SimTime,
+        total: Energy,
+        per_sink: Vec<Energy>,
+    }
+
+    impl WalkingAccumulator {
+        fn new(model: Arc<PowerModel>) -> Self {
+            let state = StateVector::boot(model.catalog());
+            let per_sink = vec![Energy::ZERO; state.len()];
+            WalkingAccumulator {
+                model,
+                state,
+                now: SimTime::ZERO,
+                total: Energy::ZERO,
+                per_sink,
+            }
+        }
+
+        fn current_power(&self) -> Power {
+            self.model.true_power(&self.state)
+        }
+
+        fn advance(&mut self, to: SimTime) {
+            if to <= self.now {
+                return;
+            }
+            let dur = to.duration_since(self.now);
+            for (sink, state) in self.state.iter() {
+                let e = (self.model.true_state_current(sink, state) * self.model.supply()) * dur;
+                if e != Energy::ZERO {
+                    self.per_sink[sink.as_usize()] += e;
+                }
+            }
+            self.total += self.model.energy_over(&self.state, dur);
+            self.now = to;
+        }
+
+        fn set_state(&mut self, at: SimTime, sink: SinkId, state: StateIndex) -> StateIndex {
+            self.advance(at);
+            self.state.set_state(sink, state)
+        }
+    }
+
+    proptest::proptest! {
+        /// Over the HydroWatch catalog with realistic per-state biases, the
+        /// cached powers give the same bits as walking the model at every
+        /// step: the aggregate power, the total energy and every sink's
+        /// energy, through state changes, repeated states, plain advances
+        /// and zero-length steps.
+        #[test]
+        fn cached_powers_match_the_model_walk_bit_for_bit(
+            (seed, supply_mv) in (proptest::any::<u64>(), 2_700u64..3_600),
+            steps in proptest::collection::vec(
+                (proptest::any::<usize>(), proptest::any::<u8>(), 0u8..3, 0u64..2_000_000),
+                1..200,
+            ),
+        ) {
+            let (cat, _) = hydrowatch();
+            let model = Arc::new(PowerModel::new(
+                Arc::new(cat),
+                Voltage::from_volts(supply_mv as f64 / 1000.0),
+                NoiseModel::realistic(seed),
+            ));
+            let catalog = model.catalog().clone();
+            let mut cached = EnergyAccumulator::new(model.clone());
+            let mut walk = WalkingAccumulator::new(model);
+            let mut now = SimTime::ZERO;
+            for (sink_pick, state_pick, kind, dt_us) in steps {
+                // A quarter of the steps take no time.
+                if dt_us % 4 != 0 {
+                    now += SimDuration::from_micros(dt_us);
+                }
+                let sink = SinkId((sink_pick % catalog.sink_count()) as u16);
+                if kind == 2 {
+                    cached.advance(now);
+                    walk.advance(now);
+                } else {
+                    // Kind 1 re-asserts the state the sink is already in.
+                    let state = if kind == 0 {
+                        StateIndex(state_pick % catalog.sink(sink).state_count() as u8)
+                    } else {
+                        walk.state.state(sink)
+                    };
+                    proptest::prop_assert_eq!(
+                        cached.set_state(now, sink, state),
+                        walk.set_state(now, sink, state)
+                    );
+                }
+                proptest::prop_assert_eq!(cached.state(), &walk.state);
+                proptest::prop_assert_eq!(
+                    cached.current_power().value().to_bits(),
+                    walk.current_power().value().to_bits()
+                );
+                proptest::prop_assert_eq!(
+                    cached.total_energy().value().to_bits(),
+                    walk.total.value().to_bits()
+                );
+                let breakdown = cached.breakdown();
+                for (i, e) in walk.per_sink.iter().enumerate() {
+                    let got = breakdown.sink(SinkId(i as u16));
+                    proptest::prop_assert!(
+                        got.value().to_bits() == e.value().to_bits(),
+                        "sink {i}: {got:?} != {e:?}"
+                    );
+                }
+            }
+        }
+    }
 
     fn blink_model() -> (Arc<PowerModel>, SinkId, [SinkId; 3]) {
         let (cat, cpu, leds) = blink_catalog();

@@ -114,6 +114,9 @@ pub(crate) fn submit(
         shared.pool.workers(),
         shared.cache.as_ref(),
     ));
+    // The cache probe counted its hits in this session thread's obs buffer,
+    // which would otherwise reach `/metrics` only when the thread exits.
+    quanto_obs::flush_thread();
     shared
         .stats
         .warm_hits
