@@ -54,9 +54,14 @@ impl Observation {
 /// the number of combinations the platform can express — not by the number
 /// of intervals — which is what lets a streaming consumer regress a
 /// week-long log without holding it.
+///
+/// The map is keyed by [`StateVectorKey::order_key`], computed once per
+/// pooled interval.  Order keys compare exactly as the keys do, so the
+/// pooled observations, and with them every regression column, come out
+/// in key order.
 #[derive(Debug, Clone, Default)]
 pub struct ObservationPool {
-    grouped: BTreeMap<StateVectorKey, (SimDuration, u64)>,
+    grouped: BTreeMap<(u128, u128, u8), (StateVectorKey, SimDuration, u64)>,
 }
 
 impl ObservationPool {
@@ -67,12 +72,11 @@ impl ObservationPool {
 
     /// Folds one interval into the pool.
     pub fn add(&mut self, interval: &PowerInterval) {
-        let slot = self
-            .grouped
-            .entry(interval.states)
-            .or_insert((SimDuration::ZERO, 0));
-        slot.0 += interval.duration();
-        slot.1 += interval.counts as u64;
+        let key = interval.states;
+        let empty = (key, SimDuration::ZERO, 0);
+        let (_, time, counts) = self.grouped.entry(key.order_key()).or_insert(empty);
+        *time += interval.duration();
+        *counts += interval.counts as u64;
     }
 
     /// Empties the pool for reuse across runs.
@@ -94,11 +98,11 @@ impl ObservationPool {
     /// counts at `energy_per_count`.
     pub fn observations(&self, energy_per_count: Energy) -> Vec<Observation> {
         self.grouped
-            .iter()
-            .map(|(key, (time, counts))| Observation {
-                states: *key,
-                time: *time,
-                energy: energy_per_count * *counts as f64,
+            .values()
+            .map(|&(states, time, counts)| Observation {
+                states,
+                time,
+                energy: energy_per_count * counts as f64,
             })
             .collect()
     }
@@ -429,6 +433,82 @@ mod tests {
             .find(|o| o.time.as_secs_f64() > 1.5)
             .expect("merged observation");
         assert_eq!(merged.time.as_micros(), 2_000_000);
+    }
+
+    proptest::proptest! {
+        /// The pool keyed by order words gives exactly the observations of
+        /// a pool keyed by the `StateVectorKey` itself: the same keys in the
+        /// same order with the same sums.  Intervals repeat a few HydroWatch
+        /// state vectors, and raw keys of every length up to 32 sinks,
+        /// including zero-extended twins, reach both order words and the
+        /// length.
+        #[test]
+        fn pool_matches_a_map_keyed_by_the_state_vector(
+            hydro in proptest::collection::vec(
+                proptest::collection::vec(proptest::any::<u8>(), 17),
+                1..6,
+            ),
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(0u8..3, 0..=32), 0usize..3),
+                1..6,
+            ),
+            picks in proptest::collection::vec(
+                (proptest::any::<usize>(), 0u64..3_000_000, proptest::any::<u32>()),
+                1..200,
+            ),
+        ) {
+            let (cat, _) = hw_model::catalog::hydrowatch();
+            let mut keys: Vec<StateVectorKey> = hydro
+                .iter()
+                .map(|bytes| {
+                    let mut sv = StateVector::boot(&cat);
+                    for ((sink, def), b) in cat.sinks().zip(bytes) {
+                        sv.set_state(sink, StateIndex(b % def.state_count() as u8));
+                    }
+                    sv.key()
+                })
+                .collect();
+            for (bytes, zeros) in &raw {
+                let key = |n: usize| {
+                    bytes
+                        .iter()
+                        .copied()
+                        .chain(std::iter::repeat(0))
+                        .take(n.min(hw_model::KEY_CAPACITY))
+                        .map(StateIndex)
+                        .collect::<StateVectorKey>()
+                };
+                keys.push(key(bytes.len()));
+                keys.push(key(bytes.len() + zeros));
+            }
+            let mut pool = ObservationPool::new();
+            let mut reference: BTreeMap<StateVectorKey, (SimDuration, u64)> = BTreeMap::new();
+            let mut t = SimTime::ZERO;
+            for (pick, dur_us, counts) in picks {
+                let iv = PowerInterval {
+                    start: t,
+                    end: t + SimDuration::from_micros(dur_us),
+                    counts,
+                    states: keys[pick % keys.len()],
+                };
+                t = iv.end;
+                pool.add(&iv);
+                let slot = reference.entry(iv.states).or_insert((SimDuration::ZERO, 0));
+                slot.0 += iv.duration();
+                slot.1 += iv.counts as u64;
+            }
+            let per_count = Energy::from_micro_joules(8.33);
+            let expected: Vec<Observation> = reference
+                .iter()
+                .map(|(key, (time, counts))| Observation {
+                    states: *key,
+                    time: *time,
+                    energy: per_count * *counts as f64,
+                })
+                .collect();
+            proptest::prop_assert_eq!(pool.len(), expected.len());
+            proptest::prop_assert_eq!(pool.observations(per_count), expected);
+        }
     }
 
     #[test]

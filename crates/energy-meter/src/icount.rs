@@ -112,11 +112,18 @@ impl Default for ICountMeter {
 }
 
 impl EnergyMeter for ICountMeter {
+    /// Counts the whole pulses in `true_cumulative`, wrapping at `u32`.
+    ///
+    /// The pulse count is the quotient truncated by a saturating `as u64`,
+    /// which equals `floor().max(0.0) as u64` for every `f64`: truncation
+    /// is floor on non-negative values, negatives, −0.0 and NaN map to 0,
+    /// and +∞ and anything from 2^64 up saturate to `u64::MAX`.  The cast
+    /// compiles to a few inline instructions, where `floor` is a libm call
+    /// on the x86-64 baseline (no SSE4.1 `roundsd`), and the kernel reads
+    /// the meter on every log stamp.
     fn read(&mut self, true_cumulative: Energy) -> MeterReading {
         let per_pulse = self.config.true_energy_per_pulse().as_micro_joules();
-        let pulses = (true_cumulative.as_micro_joules() / per_pulse)
-            .floor()
-            .max(0.0) as u64;
+        let pulses = (true_cumulative.as_micro_joules() / per_pulse) as u64;
         MeterReading {
             counter: (pulses % (u32::MAX as u64 + 1)) as u32,
             read_cost_cycles: self.config.read_cost_cycles,
@@ -146,6 +153,100 @@ mod tests {
         let big = m.read(Energy::from_milli_joules(521.23)).counter;
         // 521.23 mJ / 8.33 uJ = 62572.6... pulses.
         assert_eq!(big, 62_572);
+    }
+
+    /// `read` as it was before the saturating cast: floor, clamp at zero,
+    /// then cast.  The reference the truncating `read` must match.
+    fn floor_read(meter: &ICountMeter, energy: Energy) -> u32 {
+        let per_pulse = meter.config().true_energy_per_pulse().as_micro_joules();
+        let pulses = (energy.as_micro_joules() / per_pulse).floor().max(0.0) as u64;
+        (pulses % (u32::MAX as u64 + 1)) as u32
+    }
+
+    /// A meter whose true pulse is exactly 1 µJ, so a read's quotient is
+    /// the energy itself and the edge values below reach the cast intact.
+    fn unit_meter() -> ICountMeter {
+        ICountMeter::new(ICountConfig {
+            nominal_energy_per_pulse: Energy::from_micro_joules(1.0),
+            gain_error: 0.0,
+            read_cost_cycles: 24,
+        })
+    }
+
+    fn meters() -> [ICountMeter; 3] {
+        [
+            unit_meter(),
+            ICountMeter::default(),
+            ICountMeter::new(ICountConfig::hydrowatch_with_error(0.15, 7)),
+        ]
+    }
+
+    #[test]
+    fn truncating_read_matches_floor_at_the_edges() {
+        let two_53 = 2f64.powi(53);
+        let two_64 = 2f64.powi(64);
+        let edges = [
+            0.0,
+            -0.0,
+            1e-300,
+            -1e-300,
+            0.5,
+            -0.5,
+            1.0 - f64::EPSILON / 2.0,
+            -1.0,
+            2.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            two_53 - 1.0,
+            two_53,
+            two_53 + 2.0,
+            u32::MAX as f64 + 0.5,
+            two_64 - 2048.0,
+            two_64,
+            two_64 * 2.0,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for mut meter in meters() {
+            for uj in edges {
+                let energy = Energy::from_micro_joules(uj);
+                assert_eq!(
+                    meter.read(energy).counter,
+                    floor_read(&meter, energy),
+                    "{uj:e} µJ on {:?}",
+                    meter.config()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Over random `f64` bit patterns, which reach NaNs, infinities,
+        /// subnormals and both signs, and over values next to whole
+        /// numbers, the truncating read counts what floor-and-clamp counted.
+        #[test]
+        fn truncating_read_matches_floor_for_any_energy(
+            bits in proptest::collection::vec(proptest::any::<u64>(), 64..128),
+            near in proptest::collection::vec((0u64..1 << 40, 0u64..3), 64..128),
+        ) {
+            // The float just below, at, or just above a whole number.
+            let near = near.into_iter().map(|(whole, step)| {
+                f64::from_bits((whole as f64).to_bits().wrapping_add(step).wrapping_sub(1))
+            });
+            let energies = bits.into_iter().map(f64::from_bits).chain(near);
+            let mut meters = meters();
+            for uj in energies {
+                let energy = Energy::from_micro_joules(uj);
+                for meter in &mut meters {
+                    proptest::prop_assert_eq!(
+                        meter.read(energy).counter,
+                        floor_read(meter, energy)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

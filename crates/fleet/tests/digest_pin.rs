@@ -12,9 +12,12 @@
 //!   cache's content addresses.  A moved key would silently turn every
 //!   existing `.quanto-cache/` entry into a miss.
 
-use hw_model::SimDuration;
-use quanto_core::{LogSink, StreamDigest};
+use hw_model::{SimDuration, SimTime};
+use net_sim::NetScratch;
+use quanto_core::{CountingSink, LogEntry, LogSink, RamLogger, StreamDigest};
 use quanto_fleet::{scenarios, FleetRunner, GridSpec, MediumSpec, PathLossSpec, Scenario};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// `pin_batch()` stream digest, recorded on the zero-materialization path.
 const PIN_BATCH_STREAM_DIGEST: u64 = 0xf73f_b2e3_9f24_1280;
@@ -116,6 +119,40 @@ fn in_run_streaming_is_byte_identical_to_the_batch_pipeline() {
         }
     }
     assert_eq!(raw.digest(), PIN_BATCH_STREAM_DIGEST);
+}
+
+/// Nodes log through the paper's 800-entry RAM buffer, so a minute of LPL
+/// drains in several full chunks and the stream digest (pinned above for
+/// whole runs) is folded across chunk boundaries.  With a buffer larger
+/// than the log, the minute would arrive as one chunk.
+#[test]
+fn a_minute_of_lpl_drains_through_the_800_entry_buffer_in_chunks() {
+    let scenario = Scenario::lpl(17, 0.18, SimDuration::from_secs(60));
+    let [node] = scenario.node_ids()[..] else {
+        panic!("an LPL cell is one node");
+    };
+    let mut net = scenario.build_in(&mut NetScratch::new());
+    let sink = Rc::new(RefCell::new(CountingSink::new()));
+    let tap = sink.clone();
+    net.set_node_log_sink(
+        node,
+        Box::new(move |chunk: &[LogEntry]| tap.borrow_mut().accept(chunk)),
+    );
+    let end = SimTime::ZERO + scenario.duration;
+    net.run_until(end);
+    net.finish(end);
+
+    let (entries, chunks) = (sink.borrow().entries(), sink.borrow().chunks());
+    let cap = RamLogger::DEFAULT_CAPACITY as u64;
+    assert!(
+        chunks > 1 && entries > cap,
+        "a 60 s LPL node drained {entries} entries in {chunks} chunk(s)"
+    );
+    assert_eq!(
+        chunks,
+        entries.div_ceil(cap),
+        "every chunk but the last is full"
+    );
 }
 
 #[test]

@@ -8,14 +8,17 @@
 //!   coordinator never serves a chunk) and the digest still matches;
 //! * a shard dying mid-sweep only requeues its chunk — a surviving shard
 //!   finishes the sweep with the same digest;
-//! * losing *every* shard is a prompt `ShardsDied` error, not a hang.
+//! * losing *every* shard is a prompt `ShardsDied` error, not a hang;
+//! * a 1024-node cell's result line, a shard's largest, crosses intact.
 //!
 //! Shards here are in-process threads driving [`dist::run_shard`] over real
 //! loopback TCP — the identical code path `fleet_sweep --shard ADDR` runs,
 //! minus the process spawn (which `crates/bench/tests/fleet_sweep_cli.rs`
 //! covers).
 
-use quanto_fleet::{dist, Coordinator, DistError, DistOptions, GridOverrides};
+use quanto_fleet::{
+    dist, Coordinator, DistError, DistOptions, FleetRunner, GridOverrides, GridSpec,
+};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -234,4 +237,61 @@ fn losing_every_shard_is_an_error_not_a_hang() {
         started.elapsed() < std::time::Duration::from_secs(30),
         "death detection must be prompt"
     );
+}
+
+/// One 1024-node path-loss Bounce-pairs cell, the shape of the benchmark's
+/// `wide_path_loss` cells, simulated for one second.
+const WIDE_CELL: &str = "
+[grid]
+name = wide_line
+seconds = 1
+
+[cell.wide]
+app = bounce_pairs
+pairs = 512
+medium = path_loss
+placement = line 30 5
+name = wide_{nodes}n
+";
+
+/// The largest line a shard sends today: the result of a 1024-node cell,
+/// whose record (the same bytes the result cache stores) is over 200 KB.
+/// It merges into the digest an in-process sequential run folds.
+#[test]
+fn a_1024_node_result_line_crosses_the_shard_protocol_intact() {
+    let dir = tmp_dir("wide");
+    let coordinator = Coordinator::bind(
+        WIDE_CELL,
+        GridOverrides::default(),
+        &options(1, 1, Some(dir.clone())),
+    )
+    .expect("bind");
+    assert_eq!(coordinator.total(), 1);
+    let addr = coordinator.addr().expect("addr").to_string();
+    let shard = std::thread::spawn(move || dist::run_shard(&addr));
+    let report = coordinator.run(|_| {}).expect("sweep completes");
+    shard.join().expect("shard thread").expect("shard ok");
+
+    let batch = GridSpec::parse(WIDE_CELL)
+        .expect("wide grid parses")
+        .expand()
+        .expect("wide grid expands");
+    assert_eq!(
+        report.digest(),
+        FleetRunner::sequential().run(batch).digest()
+    );
+
+    let stored: Vec<u64> = std::fs::read_dir(&dir)
+        .expect("the shard wrote the cache")
+        .map(|entry| {
+            entry
+                .expect("cache entry")
+                .metadata()
+                .expect("metadata")
+                .len()
+        })
+        .collect();
+    assert_eq!(stored.len(), 1, "one cell, one record");
+    assert!(stored[0] > 200_000, "the record is {} bytes", stored[0]);
+    std::fs::remove_dir_all(&dir).expect("cleanup");
 }

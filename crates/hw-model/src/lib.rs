@@ -15,9 +15,9 @@
 //!   vector, including a configurable deviation of the *true* per-state
 //!   currents from their nominal (datasheet) values, and
 //! * [`power::EnergyAccumulator`] — integration of ground-truth energy over a
-//!   sequence of state-vector transitions.  It caches each sink's true power
-//!   and the aggregate power, recomputes them only when a sink's state
-//!   changes, and sums the aggregate in sink order as
+//!   sequence of state-vector transitions.  It caches each sink's true
+//!   current and power and the aggregate power, updates them only when a
+//!   sink's state changes, and sums the cached currents in sink order as
 //!   [`power::PowerModel::true_power`] does, so its results are
 //!   bit-identical to walking the model at every step.
 //!

@@ -91,11 +91,6 @@ impl PowerModel {
         self.true_current(sv) * self.supply
     }
 
-    /// The true contribution of a single sink (in its state from `sv`).
-    pub fn true_sink_power(&self, sv: &StateVector, sink: SinkId) -> Power {
-        self.true_state_current(sink, sv.state(sink)) * self.supply
-    }
-
     /// Energy consumed if the platform stays in `sv` for `dur`.
     pub fn energy_over(&self, sv: &StateVector, dur: SimDuration) -> Energy {
         self.true_power(sv) * dur
@@ -132,14 +127,21 @@ impl EnergyBreakdown {
 /// to it and it charges the battery model accordingly.  The simulated iCount
 /// meter is fed from [`EnergyAccumulator::total_energy`].
 ///
-/// Powers are cached, not walked: each sink's true power
-/// ([`PowerModel::true_sink_power`]) and the state vector's aggregate power
-/// ([`PowerModel::true_power`], summed over sinks in sink order) are fields,
-/// recomputed in [`EnergyAccumulator::set_state`] only when the sink's state
-/// actually changes.  [`EnergyAccumulator::advance`] is then one
-/// multiply-add per sink plus one for the total, and
-/// [`EnergyAccumulator::current_power`] a field read, with results
-/// bit-identical to walking the model at every step.
+/// Powers are cached, not walked: each sink's true current
+/// ([`PowerModel::true_state_current`]) and power (that current times the
+/// supply) and the state vector's aggregate power are fields, updated in
+/// [`EnergyAccumulator::set_state`] only when the sink's state actually
+/// changes.  The aggregate is the cached currents
+/// summed from zero in sink order, times the supply: the very fold
+/// [`PowerModel::true_current`] and [`PowerModel::true_power`] perform, so
+/// it has the same bits without walking the model's per-sink tables.
+///
+/// [`EnergyAccumulator::advance`] is one multiply-add per sink plus one for
+/// the total, with no branch: every accumulator starts at +0.0, and from
+/// +0.0 no sum of `f64`s reaches −0.0, so adding a sink's zero energy leaves
+/// its accumulator's bits unchanged.  [`EnergyAccumulator::current_power`]
+/// is a field read.  Results are bit-identical to walking the model at every
+/// step.
 #[derive(Debug, Clone)]
 pub struct EnergyAccumulator {
     model: Arc<PowerModel>,
@@ -149,8 +151,11 @@ pub struct EnergyAccumulator {
     /// Per-sink attribution, dense-indexed by `SinkId` — `advance` runs on
     /// every instrumentation stamp, so this must not hash.
     per_sink: Vec<Energy>,
-    /// Each sink's true power in its current state, dense-indexed by
+    /// Each sink's true current in its current state, dense-indexed by
     /// `SinkId`.
+    sink_current: Vec<Current>,
+    /// Each sink's true power in its current state: `sink_current` times
+    /// the supply.
     sink_power: Vec<Power>,
     /// `model.true_power(&state)`.
     power: Power,
@@ -161,17 +166,19 @@ impl EnergyAccumulator {
     pub fn new(model: Arc<PowerModel>) -> Self {
         let state = StateVector::boot(model.catalog());
         let per_sink = vec![Energy::ZERO; state.len()];
-        let sink_power = state
+        let sink_current: Vec<Current> = state
             .iter()
-            .map(|(sink, _)| model.true_sink_power(&state, sink))
+            .map(|(sink, s)| model.true_state_current(sink, s))
             .collect();
-        let power = model.true_power(&state);
+        let sink_power = sink_current.iter().map(|&i| i * model.supply()).collect();
+        let power = sink_current.iter().copied().sum::<Current>() * model.supply();
         EnergyAccumulator {
             model,
             state,
             now: SimTime::ZERO,
             total: Energy::ZERO,
             per_sink,
+            sink_current,
             sink_power,
             power,
         }
@@ -213,10 +220,7 @@ impl EnergyAccumulator {
         }
         let dur = to.duration_since(self.now);
         for (energy, &power) in self.per_sink.iter_mut().zip(&self.sink_power) {
-            let e = power * dur;
-            if e != Energy::ZERO {
-                *energy += e;
-            }
+            *energy += power * dur;
         }
         self.total += self.power * dur;
         self.now = to;
@@ -243,8 +247,11 @@ impl EnergyAccumulator {
         self.advance(at);
         let prev = self.state.set_state(sink, state);
         if prev != state {
-            self.sink_power[sink.as_usize()] = self.model.true_sink_power(&self.state, sink);
-            self.power = self.model.true_power(&self.state);
+            let supply = self.model.supply();
+            let current = self.model.true_state_current(sink, state);
+            self.sink_current[sink.as_usize()] = current;
+            self.sink_power[sink.as_usize()] = current * supply;
+            self.power = self.sink_current.iter().copied().sum::<Current>() * supply;
         }
         prev
     }

@@ -141,15 +141,18 @@ impl StateVectorKey {
         }
     }
 
-    /// The state bytes as two big-endian words, so that comparing the words
-    /// compares the bytes in order.
-    fn words(&self) -> (u128, u128) {
+    /// The key's order as plain integers: the state bytes as two big-endian
+    /// words, then the length.  Comparing two order keys as tuples is
+    /// exactly comparing the keys (that is how [`Ord`] is defined), so a
+    /// sorted map can compute this once per key instead of rebuilding both
+    /// words on every comparison.
+    pub fn order_key(&self) -> (u128, u128, u8) {
         const { assert!(KEY_CAPACITY == 32, "the key is two 16-byte words") };
         let bytes = self.states.map(StateIndex::as_u8);
         let word = |i: usize| {
             u128::from_be_bytes(bytes[16 * i..16 * (i + 1)].try_into().expect("16 bytes"))
         };
-        (word(0), word(1))
+        (word(0), word(1), self.len)
     }
 }
 
@@ -187,9 +190,7 @@ impl Ord for StateVectorKey {
     fn cmp(&self, other: &Self) -> Ordering {
         // Unused slots are zero, so equal words with a shorter length mean
         // a prefix, which sorts first, as in `Vec<u8>` order.
-        self.words()
-            .cmp(&other.words())
-            .then(self.len.cmp(&other.len))
+        self.order_key().cmp(&other.order_key())
     }
 }
 

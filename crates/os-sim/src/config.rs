@@ -2,7 +2,7 @@
 
 use energy_meter::ICountConfig;
 use hw_model::{NoiseModel, Voltage};
-use quanto_core::{AccountingMode, CostModel, NodeId, OverflowPolicy};
+use quanto_core::{AccountingMode, CostModel, NodeId, OverflowPolicy, RamLogger};
 
 /// How the CPU moves packet data to and from the radio chip over the SPI bus
 /// (the Figure 16 case study).
@@ -60,7 +60,12 @@ pub struct NodeConfig {
     /// Whether the periodic (16 Hz) DCO-calibration timer interrupt runs —
     /// the surprising always-on interrupt of Figure 15.
     pub dco_calibration: bool,
-    /// Quanto log capacity, in entries.
+    /// Quanto RAM log capacity, in entries: the paper's 800-entry buffer
+    /// ([`RamLogger::DEFAULT_CAPACITY`]) by default.  Under the default
+    /// [`OverflowPolicy::Flush`] a full buffer drains to the attached sink
+    /// or the host-side log, and nothing the simulated node does depends
+    /// on when it drains, so the capacity bounds node memory without
+    /// changing any log entry, stream digest or analysis result.
     pub log_capacity: usize,
     /// Quanto log overflow policy.
     pub overflow_policy: OverflowPolicy,
@@ -101,7 +106,7 @@ impl NodeConfig {
             spi_mode: SpiMode::Interrupt,
             lpl: None,
             dco_calibration: true,
-            log_capacity: 100_000,
+            log_capacity: RamLogger::DEFAULT_CAPACITY,
             overflow_policy: OverflowPolicy::Flush,
             accounting: AccountingMode::Log,
             cost_model: CostModel::paper(),
@@ -141,6 +146,7 @@ mod tests {
         assert!(c.dco_calibration);
         assert_eq!(c.spi_mode, SpiMode::Interrupt);
         assert!(c.lpl.is_none());
+        assert_eq!(c.log_capacity, 800);
     }
 
     #[test]

@@ -285,10 +285,14 @@ impl Kernel {
     }
 
     /// Records a ground-truth power-state change and tells Quanto about it.
+    /// The probe current is divided out only while the probe is attached;
+    /// headless sweeps detach it.
     pub(crate) fn set_sink(&mut self, sink: SinkId, state: StateIndex) {
         self.accumulator.set_state(self.cursor, sink, state);
-        let current = self.accumulator.current_power() / self.config.supply;
-        self.trace.push(self.cursor, current);
+        if self.trace.is_enabled() {
+            let current = self.accumulator.current_power() / self.config.supply;
+            self.trace.push(self.cursor, current);
+        }
         if self.config.quanto_enabled {
             let stamp = self.stamp();
             self.quanto

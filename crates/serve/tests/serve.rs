@@ -69,6 +69,25 @@ seeds = 1..6
 name = bounce_seed{seed}
 ";
 
+/// Six 1024-node path-loss Bounce-pairs cells, simulated for one second:
+/// the shape of the benchmark's `wide_path_loss` cells.  A job's final
+/// summary line is about 1.3 MB, each progress event about 216 KB: the
+/// largest lines real runs send.
+const WIDE_GRID: &str = "
+[grid]
+name = wide_lines
+seconds = 1
+
+[cell.wide]
+app = bounce_pairs
+pairs = 512
+seeds = 1..6
+medium = path_loss
+placement = line 30 5
+name = wide_{nodes}n_seed{seed}
+";
+const WIDE_LEN: usize = 6;
+
 fn start_server(workers: usize) -> quanto_serve::ServerHandle {
     Server::bind(
         "127.0.0.1:0",
@@ -127,6 +146,48 @@ fn served_digest_is_byte_identical_to_in_process_and_pinned() {
     assert_eq!(
         results_array(&outcome.summary),
         results_array(&local),
+        "served results array must be byte-identical to the in-process one"
+    );
+
+    handle.shutdown();
+}
+
+/// The largest lines the daemon sends today cross the wire intact: the
+/// final summary of a job of 1024-node cells is over 1 MiB and folds the
+/// digest an in-process sequential run folds, with byte-identical results.
+#[test]
+fn a_summary_line_over_a_mebibyte_round_trips() {
+    let handle = start_server(2);
+    let addr = handle.addr().to_string();
+
+    let mut longest_event = 0;
+    let mut events = 0;
+    let outcome = client::run_sweep(&addr, WIDE_GRID, &Default::default(), |event| {
+        longest_event = longest_event.max(event.len());
+        events += 1;
+    })
+    .expect("served sweep completes");
+    assert_eq!((outcome.total, events), (WIDE_LEN, WIDE_LEN));
+    assert!(
+        outcome.summary.len() > 1 << 20,
+        "the final summary is {} bytes, not over 1 MiB",
+        outcome.summary.len()
+    );
+    assert!(
+        longest_event > 200_000,
+        "longest event {longest_event} bytes"
+    );
+
+    let batch = GridSpec::parse(WIDE_GRID)
+        .expect("wide grid parses")
+        .expand()
+        .expect("wide grid expands");
+    let report = FleetRunner::sequential().run(batch);
+    let local = format!("{:#018x}", report.digest());
+    assert_eq!(client::digest_of(&outcome.summary), Some(local.as_str()));
+    assert_eq!(
+        results_array(&outcome.summary),
+        results_array(&report.summary_json()),
         "served results array must be byte-identical to the in-process one"
     );
 
