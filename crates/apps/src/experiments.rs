@@ -14,7 +14,7 @@ use analysis::{
 };
 use energy_meter::{linear_fit, ICountConfig, LinearFit, Oscilloscope};
 use hw_model::catalog::led_state;
-use hw_model::{Current, Energy, SimDuration, SimTime, Voltage};
+use hw_model::{Current, Energy, SimDuration, SimTime};
 use os_sim::{NodeConfig, SpiMode};
 use quanto_core::{ActivityLabel, CostModel, EntryKind, NodeId};
 
@@ -444,11 +444,6 @@ pub fn instrumentation_table() -> Vec<InstrumentationRow> {
             our_module: "quanto-core",
         },
     ]
-}
-
-/// The supply voltage used throughout the experiments.
-pub fn paper_supply() -> Voltage {
-    Voltage::from_volts(3.0)
 }
 
 #[cfg(test)]

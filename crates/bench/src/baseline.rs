@@ -13,6 +13,8 @@
 //! current host is relative to the host that recorded the baseline, and
 //! every other bench is compared against `baseline × that scale`.
 
+use quanto_fleet::wire::Value;
+
 /// Id of the fixed-workload calibration bench used to normalize host speed.
 pub const CALIBRATION_ID: &str = "calibration/spin";
 
@@ -82,35 +84,19 @@ pub fn parse_bench_lines(text: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Parses a flat `{"key": number, ...}` JSON object (the only shape the
-/// baseline uses; no nesting, no strings, no escapes in keys).
+/// Parses a flat `{"key": number, ...}` JSON object, the only shape the
+/// baseline uses.
 pub fn parse_flat_json(text: &str) -> Result<Vec<(String, f64)>, String> {
-    let body = text.trim();
-    let body = body
-        .strip_prefix('{')
-        .and_then(|b| b.strip_suffix('}'))
-        .ok_or("baseline is not a JSON object")?;
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let pair = pair.trim();
-        if pair.is_empty() {
-            continue;
-        }
-        let (key, value) = pair
-            .split_once(':')
-            .ok_or_else(|| format!("malformed entry {pair:?}"))?;
-        let key = key
-            .trim()
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("malformed key in {pair:?}"))?;
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|_| format!("malformed number in {pair:?}"))?;
-        out.push((key.to_string(), value));
-    }
-    Ok(out)
+    let Some(Value::Obj(fields)) = Value::parse(text) else {
+        return Err("baseline is not a JSON object".to_string());
+    };
+    fields
+        .into_iter()
+        .map(|(key, value)| match value.as_f64() {
+            Some(x) => Ok((key, x)),
+            None => Err(format!("baseline entry {key:?} is not a number")),
+        })
+        .collect()
 }
 
 /// Renders entries as the flat JSON object [`parse_flat_json`] reads.
@@ -238,11 +224,10 @@ mod tests {
             ("c".to_string(), 2.0e9),
         ];
         let text = render_flat_json(&entries);
-        let parsed = parse_flat_json(&text).unwrap();
-        assert_eq!(parsed.len(), 3);
-        assert_eq!(parsed[0].0, "_tolerance");
-        assert!((parsed[2].1 - 2.0e9).abs() < 1.0);
+        assert_eq!(parse_flat_json(&text), Ok(entries));
         assert!(parse_flat_json("not json").is_err());
+        assert!(parse_flat_json("[1]").is_err());
+        assert!(parse_flat_json("{\"a\":\"1\"}").is_err());
     }
 
     #[test]

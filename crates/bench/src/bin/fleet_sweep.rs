@@ -97,6 +97,7 @@
 //! the speedup check here, not the baseline entry.
 
 use quanto_bench::baseline::bench_line;
+use quanto_fleet::wire::Value;
 use quanto_fleet::{
     dist, scenarios, DistOptions, FleetProgress, FleetRunner, GridOverrides, GridSpec, ResultCache,
     Scenario,
@@ -837,14 +838,6 @@ fn run_mode(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Scans the decimal run right after `marker` out of a JSON document the
-/// wire reader cannot parse (served documents carry decimal floats).
-fn scan_field<'a>(doc: &'a str, marker: &str, until: char) -> Option<&'a str> {
-    let start = doc.find(marker)? + marker.len();
-    let end = doc[start..].find(until)?;
-    Some(&doc[start..start + end])
-}
-
 /// `--server ADDR`: ship the grid to the daemon, stream its progress, and
 /// print the served summary.  With `--json` every document prints
 /// verbatim, so the output is byte-compatible with an in-process
@@ -868,18 +861,32 @@ fn run_served(
     let progress = |event: &str| {
         if json {
             println!("{event}");
-        } else {
-            let completed = scan_field(event, "\"completed\":", ',').unwrap_or("?");
-            let total = scan_field(event, "\"total\":", ',').unwrap_or("?");
-            let name = scan_field(event, "\"scenario\":\"", '"').unwrap_or("?");
-            let medium = scan_field(event, "\"medium\":\"", '"').unwrap_or("?");
-            let origin = if event.contains("\"cache_hit\":true") {
-                " [cache]"
-            } else {
-                ""
-            };
-            println!("[{completed}/{total}] {name} ({medium}){origin}");
+            return;
         }
+        // The client hands over only events from lines that parsed.
+        let event = Value::parse(event).unwrap_or(Value::Null);
+        let count = |key: &str| {
+            event
+                .get_u64(key)
+                .map_or("?".to_string(), |n| n.to_string())
+        };
+        let result = |key: &str| {
+            event
+                .get("result")
+                .and_then(|r| r.get_str(key))
+                .unwrap_or("?")
+        };
+        let origin = match event.get("cache_hit").and_then(Value::as_bool) {
+            Some(true) => " [cache]",
+            _ => "",
+        };
+        println!(
+            "[{}/{}] {} ({}){origin}",
+            count("completed"),
+            count("total"),
+            result("scenario"),
+            result("medium")
+        );
     };
     match quanto_serve::client::run_sweep(addr, grid_text, &overrides, progress) {
         Ok(outcome) => {

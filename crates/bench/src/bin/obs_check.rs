@@ -4,274 +4,55 @@
 //! Checks, per the acceptance bar in the obs work:
 //!
 //! * the profile is well-formed (`version` 1, non-empty `workers`);
-//! * for every worker that ran long enough to measure (≥ 5 ms), busy +
-//!   stall + merge + send time explains its wall-clock to within 5% (the
-//!   remainder is queue bookkeeping, which must stay small);
+//! * at least one worker ran long enough to measure (≥ 5 ms) — a profile
+//!   of only shorter workers reconciles nothing, so it fails;
+//! * for every such worker, busy + stall + merge + send time explains its
+//!   wall-clock to within 5% (the remainder is queue bookkeeping, which
+//!   must stay small);
 //! * per-phase span totals (`phase_us`) cover at least 95% of busy time —
 //!   build/run/analyze spans must tile the scenario spans they nest in.
 //!
-//! No JSON dependency exists in this workspace, so a ~100-line
-//! recursive-descent parser rides along; the input is machine-written by
-//! [`quanto_obs::Profile::to_json`], not arbitrary JSON.
+//! The profile is read with the workspace's one JSON reader,
+//! [`quanto_fleet::wire::Value`]: every number
+//! [`quanto_obs::Profile::to_json`] writes is an unsigned integer.
 //!
 //! Usage: `obs_check PROFILE.json` — exits nonzero with a diagnostic on the
 //! first violated invariant.
 
+use quanto_fleet::wire::Value;
 use std::process::ExitCode;
-
-// ---------------------------------------------------------------- JSON
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".into())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at offset {}, found '{}'",
-                b as char, self.pos, self.bytes[self.pos] as char
-            ))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.pos < self.bytes.len()
-            && matches!(
-                self.bytes[self.pos],
-                b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'
-            )
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .bytes
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(format!("bad escape '\\{}'", esc as char)),
-                    }
-                }
-                Some(_) => {
-                    // Advance one whole UTF-8 scalar, not one byte.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                c => return Err(format!("expected ',' or ']', found '{}'", c as char)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                c => return Err(format!("expected ',' or '}}', found '{}'", c as char)),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- checks
 
 /// Workers shorter than this are dominated by span-timestamp granularity
 /// and queue startup; reconciliation ratios are meaningless on them.
 const MIN_MEASURABLE_US: f64 = 5_000.0;
 
-fn check_profile(profile: &Json) -> Result<String, String> {
+fn check_profile(profile: &Value) -> Result<String, String> {
     let version = profile
-        .get("version")
-        .and_then(Json::num)
-        .ok_or("profile has no numeric \"version\"")?;
-    if version != 1.0 {
+        .get_u64("version")
+        .ok_or("profile has no integer \"version\"")?;
+    if version != 1 {
         return Err(format!("unsupported profile version {version}"));
     }
     let workers = profile
         .get("workers")
-        .and_then(Json::arr)
+        .and_then(Value::as_arr)
         .ok_or("profile has no \"workers\" array")?;
     if workers.is_empty() {
         return Err("profile recorded no workers — was obs actually enabled?".into());
     }
     for key in ["phases", "scenarios", "trace_events"] {
-        if profile.get(key).and_then(Json::arr).is_none() {
+        if profile.get(key).and_then(Value::as_arr).is_none() {
             return Err(format!("profile has no \"{key}\" array"));
         }
     }
 
     let mut measured = 0usize;
     for w in workers {
-        let label = w.get("label").and_then(Json::str).unwrap_or("?");
+        let label = w.get_str("label").unwrap_or("?");
         let field = |k: &str| {
-            w.get(k)
-                .and_then(Json::num)
-                .ok_or_else(|| format!("worker {label}: missing numeric \"{k}\""))
+            w.get_u64(k)
+                .map(|us| us as f64)
+                .ok_or_else(|| format!("worker {label}: missing integer \"{k}\""))
         };
         let elapsed = field("elapsed_us")?;
         let busy = field("busy_us")?;
@@ -299,6 +80,14 @@ fn check_profile(profile: &Json) -> Result<String, String> {
             ));
         }
     }
+    if measured == 0 {
+        return Err(format!(
+            "none of the {} workers ran the {:.0} ms it takes to reconcile — \
+             size the sweep up",
+            workers.len(),
+            MIN_MEASURABLE_US / 1e3
+        ));
+    }
     Ok(format!(
         "obs profile ok: {} workers ({measured} long enough to reconcile), \
          accounted time within 5% of wall-clock",
@@ -321,12 +110,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let profile = match Parser::parse(&text) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("obs_check: {path} is not valid JSON: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(profile) = Value::parse(&text) else {
+        eprintln!("obs_check: {path} is not valid JSON");
+        return ExitCode::FAILURE;
     };
     match check_profile(&profile) {
         Ok(summary) => {
@@ -361,27 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn parser_round_trips_the_profile_shape() {
-        let text = profile_with(&[worker("worker-0", 10_000, 9_800, 100, 50, 9_700)]);
-        let v = Parser::parse(&text).expect("parses");
-        assert_eq!(v.get("version").and_then(Json::num), Some(1.0));
-        let w = &v.get("workers").and_then(Json::arr).unwrap()[0];
-        assert_eq!(w.get("label").and_then(Json::str), Some("worker-0"));
-        assert_eq!(w.get("busy_us").and_then(Json::num), Some(9_800.0));
-    }
-
-    #[test]
-    fn parser_handles_escapes_and_nesting() {
-        let v = Parser::parse("{\"a\":[1,-2.5e1,\"x\\n\\u0041\"],\"b\":null}").unwrap();
-        let a = v.get("a").and_then(Json::arr).unwrap();
-        assert_eq!(a[1].num(), Some(-25.0));
-        assert_eq!(a[2].str(), Some("x\nA"));
-        assert_eq!(v.get("b"), Some(&Json::Null));
-        assert!(Parser::parse("{\"a\":1}trailing").is_err());
-        assert!(Parser::parse("{\"a\":}").is_err());
-    }
-
-    #[test]
     fn reconciled_profile_passes() {
         let text = profile_with(&[
             worker("worker-0", 100_000, 94_000, 2_000, 2_000, 93_500),
@@ -389,14 +154,14 @@ mod tests {
             // Too short to measure — ignored even though unreconciled.
             worker("worker-2", 800, 10, 0, 0, 0),
         ]);
-        let v = Parser::parse(&text).unwrap();
+        let v = Value::parse(&text).unwrap();
         assert!(check_profile(&v).is_ok());
     }
 
     #[test]
     fn unaccounted_wall_clock_fails() {
         let text = profile_with(&[worker("worker-0", 100_000, 50_000, 10_000, 5_000, 49_000)]);
-        let v = Parser::parse(&text).unwrap();
+        let v = Value::parse(&text).unwrap();
         let err = check_profile(&v).unwrap_err();
         assert!(err.contains("worker-0"), "{err}");
     }
@@ -404,18 +169,31 @@ mod tests {
     #[test]
     fn missing_phase_coverage_fails() {
         let text = profile_with(&[worker("worker-0", 100_000, 97_000, 1_000, 1_000, 40_000)]);
-        let v = Parser::parse(&text).unwrap();
+        let v = Value::parse(&text).unwrap();
         let err = check_profile(&v).unwrap_err();
         assert!(err.contains("tile"), "{err}");
     }
 
     #[test]
     fn empty_workers_and_bad_version_fail() {
-        let v = Parser::parse(&profile_with(&[])).unwrap();
+        let v = Value::parse(&profile_with(&[])).unwrap();
         assert!(check_profile(&v).unwrap_err().contains("no workers"));
         let text = profile_with(&[worker("w", 10_000, 9_900, 0, 0, 9_900)])
             .replace("\"version\":1", "\"version\":2");
-        let v = Parser::parse(&text).unwrap();
+        let v = Value::parse(&text).unwrap();
         assert!(check_profile(&v).unwrap_err().contains("version"));
+    }
+
+    /// Workers too short to measure reconcile nothing: a failure, not a
+    /// pass that checked no worker.
+    #[test]
+    fn a_profile_of_only_short_workers_fails() {
+        let text = profile_with(&[
+            worker("worker-0", 4_999, 10, 0, 0, 0),
+            worker("worker-1", 800, 10, 0, 0, 0),
+        ]);
+        let v = Value::parse(&text).unwrap();
+        let err = check_profile(&v).unwrap_err();
+        assert!(err.contains("none of the 2 workers"), "{err}");
     }
 }

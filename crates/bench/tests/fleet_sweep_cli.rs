@@ -3,6 +3,7 @@
 //! spawned shard processes — the one layer the in-process tests in
 //! `quanto-fleet` cannot cover.
 
+use quanto_fleet::wire::Value;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -40,28 +41,31 @@ fn write_grid(dir: &PathBuf) -> PathBuf {
     path
 }
 
-fn digest_of(stdout: &str) -> String {
+/// The last stdout line: the sweep's summary document, parsed.
+fn summary(stdout: &str) -> Value {
     stdout
         .lines()
         .last()
-        .and_then(|line| line.split("\"digest\":\"").nth(1))
-        .and_then(|tail| tail.split('"').next())
+        .and_then(Value::parse)
+        .unwrap_or_else(|| panic!("no summary document in output:\n{stdout}"))
+}
+
+fn digest_of(stdout: &str) -> String {
+    summary(stdout)
+        .get_str("digest")
         .unwrap_or_else(|| panic!("no digest in output:\n{stdout}"))
         .to_string()
 }
 
-/// Pulls hits/misses/writes out of the summary document's cache object —
-/// those keys appear nowhere else in the JSON.
+/// Hits/misses/writes of the summary document's `cache` object.
 fn cache_counts(stdout: &str) -> (u64, u64, u64) {
-    let doc = stdout.lines().last().expect("summary line");
-    let first = |key: &str| -> u64 {
-        doc.split(&format!("\"{key}\":"))
-            .nth(1)
-            .and_then(|tail| tail.split(|c: char| !c.is_ascii_digit()).next())
-            .and_then(|digits| digits.parse().ok())
-            .unwrap_or_else(|| panic!("no {key} in summary:\n{doc}"))
+    let doc = summary(stdout);
+    let count = |key: &str| -> u64 {
+        doc.get("cache")
+            .and_then(|cache| cache.get_u64(key))
+            .unwrap_or_else(|| panic!("no cache.{key} in summary:\n{stdout}"))
     };
-    (first("hits"), first("misses"), first("writes"))
+    (count("hits"), count("misses"), count("writes"))
 }
 
 /// The flagship CLI contract: a cold 2-shard cached run and a warm re-run

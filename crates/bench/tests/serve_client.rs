@@ -4,6 +4,7 @@
 //! stream must be line-compatible with the local `--json` output (progress
 //! documents, then the summary document).
 
+use quanto_fleet::wire::Value;
 use quanto_serve::{ServeConfig, Server};
 use std::process::Command;
 
@@ -27,12 +28,14 @@ name = lpl_ch{channel}_seed{seed}
 app = bounce
 ";
 
+/// The `digest` of the summary document on the last stdout line.
 fn digest_of(stdout: &str) -> String {
     stdout
         .lines()
         .last()
-        .and_then(|line| line.split("\"digest\":\"").nth(1))
-        .and_then(|tail| tail.split('"').next())
+        .and_then(Value::parse)
+        .as_ref()
+        .and_then(|summary| summary.get_str("digest"))
         .unwrap_or_else(|| panic!("no digest in output:\n{stdout}"))
         .to_string()
 }

@@ -124,12 +124,6 @@ impl RamLogger {
         self.sink = Some(sink);
     }
 
-    /// Detaches and returns the sink, if one was attached.  Entries flushed
-    /// so far stay wherever the sink put them.
-    pub fn take_sink(&mut self) -> Option<Box<dyn LogSink>> {
-        self.sink.take()
-    }
-
     /// Whether a streaming sink is attached.
     pub fn has_sink(&self) -> bool {
         self.sink.is_some()

@@ -449,20 +449,10 @@ impl QuantoRuntime {
         self.logger.set_sink(sink);
     }
 
-    /// Streams every held log entry through `sink` and clears the log.
-    pub fn drain_log_to(&mut self, sink: &mut dyn crate::sink::LogSink) {
-        self.logger.drain_to(sink);
-    }
-
     /// Streams every remaining held entry through the attached sink (if any)
     /// and clears the log.  Returns whether a sink was attached.
     pub fn drain_log_to_attached_sink(&mut self) -> bool {
         self.logger.drain_to_attached_sink()
-    }
-
-    /// Pulls the whole log off the node, clearing it.
-    pub fn take_log(&mut self) -> Vec<LogEntry> {
-        self.logger.take()
     }
 
     /// Adopts a recycled entry buffer as the RAM log buffer (see

@@ -266,6 +266,12 @@ mod tests {
         // A future format version self-invalidates.
         std::fs::write(&path, good.replace("\"version\":1", "\"version\":999")).unwrap();
         assert!(cache.probe(0, &scenario).is_none());
+        // A decimal where a bit pattern belongs parses, but no integer
+        // accessor takes it.
+        let bits = format!("\"p\":{}", 2.5f64.to_bits());
+        assert!(good.contains(&bits), "{good}");
+        std::fs::write(&path, good.replace(&bits, "\"p\":1.5")).unwrap();
+        assert!(cache.probe(0, &scenario).is_none());
         // A spec-echo mismatch (entry landed under the wrong name).
         let other = Scenario::idle(SimDuration::from_secs(3));
         std::fs::copy(&path, cache.entry_path(other.spec_digest())).unwrap();

@@ -27,6 +27,7 @@ use crate::cache::CacheStats;
 use crate::record::{CountersRecord, ScenarioRecord, StreamRecord, SummaryRecord};
 use crate::runner::Retention;
 use crate::scenario::Scenario;
+use crate::wire::push_json_str;
 use crate::workspace::SimWorkspace;
 use analysis::{pct, PowerInterval, SegmentBuilder};
 use analysis::{regress, IntervalBuilder, ObservationPool, RegressionOptions, TextTable};
@@ -1077,9 +1078,11 @@ pub(crate) fn scenario_json(
 ) -> String {
     let mut out = String::from("{");
     out.push_str(&format!("\"index\":{index},"));
-    out.push_str(&format!("\"scenario\":\"{}\",", json_escape(name)));
-    out.push_str(&format!("\"medium\":\"{}\",", json_escape(medium_kind)));
-    out.push_str(&format!("\"cache_hit\":{cache_hit},"));
+    out.push_str("\"scenario\":");
+    push_json_str(&mut out, name);
+    out.push_str(",\"medium\":");
+    push_json_str(&mut out, medium_kind);
+    out.push_str(&format!(",\"cache_hit\":{cache_hit},"));
     match counters {
         Some(c) => out.push_str(&format!(
             "\"delivery\":{{\"delivered\":{},\"lost_out_of_range\":{},\
@@ -1126,22 +1129,6 @@ fn node_summary_json(s: &NodeSummary) -> String {
         s.cpu_segments,
         regression,
     )
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Accumulates merged results in submission order, folding the digest as
@@ -1317,13 +1304,8 @@ mod tests {
         assert!(json.contains("\"medium\":\"ideal\""));
         assert!(json.contains("\"delivery\":null"));
         assert!(json.contains("\"node\":1"));
-        // Balanced braces and brackets (a cheap structural check without a
-        // JSON parser in the tree).
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            let opens = json.matches(open).count();
-            let closes = json.matches(close).count();
-            assert_eq!(opens, closes, "unbalanced {open}{close} in {json}");
-        }
+        let parsed = crate::wire::Value::parse(&json).expect("one JSON document");
+        assert_eq!(parsed.get_str("scenario"), Some("idle_1s"));
     }
 
     #[test]
@@ -1397,8 +1379,14 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\ny");
+        for (raw, escaped) in [
+            ("plain", "\"plain\""),
+            ("a\"b\\c", "\"a\\\"b\\\\c\""),
+            ("x\ny", "\"x\\ny\""),
+        ] {
+            let mut out = String::new();
+            push_json_str(&mut out, raw);
+            assert_eq!(out, escaped);
+        }
     }
 }

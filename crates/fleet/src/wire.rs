@@ -1,38 +1,50 @@
-//! A minimal JSON reader for every Quanto wire format.
+//! The one JSON reader of the workspace, and the pieces its wire formats
+//! share.
 //!
 //! The work-queue protocol ([`crate::dist`]), the on-disk cache
-//! ([`crate::cache`]) and the `quanto-serve` client protocol all speak
-//! single-line JSON documents that this workspace also *writes* (see
-//! `docs/PROTOCOL.md` for the contracts), so the reader only has to cover
-//! the subset the writers emit:
-//! objects, arrays, strings (with the standard escapes), unsigned decimal
-//! integers, booleans and `null`.  Floats never appear on the wire — every
-//! `f64` travels as its IEEE-754 bit pattern in a `u64`, because digests
-//! fold those exact bits and a decimal round-trip could perturb them.
+//! ([`crate::cache`]), the `quanto-serve` protocol, the `--obs-json`
+//! profile and the bench baseline are all JSON documents this workspace
+//! also *writes* (see `docs/PROTOCOL.md` for the contracts), and
+//! [`Value::parse`] reads every one of them: objects, arrays, strings
+//! (with the standard escapes), numbers, booleans and `null`.
 //!
-//! Anything outside that subset — signed numbers, fractions, exponents,
-//! trailing garbage, truncated input — is a parse failure, which callers
-//! treat as "corrupt": a cache miss, or a dead shard connection.  Never a
-//! panic, and never a silently-wrong value.
+//! Numbers follow RFC 8259's grammar under one rule.  A plain unsigned
+//! integer that fits in a `u64` reads exactly, as [`Value::UInt`]; any
+//! other number (a sign, a fraction, an exponent, or beyond `u64`) reads
+//! as [`Value::Float`].  A non-finite result (`1e999`) or a non-JSON form
+//! (`+1`, `.5`, `1.`, `01`) is a parse failure.  The integer accessors
+//! ([`Value::as_u64`], [`Value::get_u64`], [`Value::get_opt_u64`]) never
+//! accept a `Float`, and every protocol decoder reads through them: an
+//! `f64` a digest folds travels as its IEEE-754 bit pattern in a `u64`,
+//! because a decimal round-trip could perturb those bits, so a decimal
+//! where a bit pattern belongs is refused.
+//!
+//! Anything outside the grammar (trailing garbage, truncated input) is a
+//! parse failure, which callers treat as "corrupt": a cache miss, a dead
+//! shard connection, a client protocol error.  Never a panic, and never a
+//! silently-wrong value.
 //!
 //! Next to the reader sit the pieces both socket protocols share: the line
-//! framing ([`write_line`], [`read_msg`]) and the one codec for the
-//! [`GridOverrides`] fields the dist `job` message and the serve `submit`
-//! request carry.
+//! framing ([`write_line`], [`read_msg`]), the one string escaper
+//! ([`push_json_str`]) and the one codec for the [`GridOverrides`] fields
+//! the dist `job` message and the serve `submit` request carry.
 
 use crate::grid::GridOverrides;
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
-/// One parsed JSON value from the wire subset.
+/// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned decimal integer (the only number form the writers emit).
+    /// A plain unsigned decimal integer that fits in a `u64`, read exactly.
     UInt(u64),
+    /// Any other number: signed, fractional, exponent or beyond `u64`.
+    /// Always finite.
+    Float(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -66,6 +78,16 @@ impl Value {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// This value as an `f64`, if it is a number of either kind.  A
+    /// `u64` beyond 2^53 rounds to the nearest `f64`.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::UInt(n) => Some(*n as f64),
+            Value::Float(x) => Some(*x),
             _ => None,
         }
     }
@@ -141,7 +163,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Option<Value> {
         b'{' => parse_obj(bytes, pos),
         b'[' => parse_arr(bytes, pos),
         b'"' => Some(Value::Str(parse_string(bytes, pos)?)),
-        b'0'..=b'9' => parse_uint(bytes, pos),
+        b'-' | b'0'..=b'9' => parse_number(bytes, pos),
         b't' => parse_lit(bytes, pos, b"true", Value::Bool(true)),
         b'f' => parse_lit(bytes, pos, b"false", Value::Bool(false)),
         b'n' => parse_lit(bytes, pos, b"null", Value::Null),
@@ -158,21 +180,50 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &[u8], value: Value) -> Option<
     }
 }
 
-fn parse_uint(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+/// Reads one number by RFC 8259's grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Option<Value> {
+    let digits = |pos: &mut usize| {
+        let start = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+            *pos += 1;
+        }
+        *pos > start
+    };
     let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
+    let signed = bytes.get(*pos) == Some(&b'-');
+    if signed {
         *pos += 1;
     }
-    // A fraction or exponent would silently truncate; the writers never
-    // emit them, so their appearance means corruption.
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
+    let int_start = *pos;
+    if !digits(pos) || (bytes[int_start] == b'0' && *pos - int_start > 1) {
         return None;
     }
-    std::str::from_utf8(&bytes[start..*pos])
-        .ok()?
-        .parse::<u64>()
-        .ok()
-        .map(Value::UInt)
+    let int_end = *pos;
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return None;
+        }
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return None;
+        }
+    }
+    // The token is ASCII by construction.
+    let text = std::str::from_utf8(&bytes[start..*pos]).ok()?;
+    if !signed && *pos == int_end {
+        if let Ok(n) = text.parse::<u64>() {
+            return Some(Value::UInt(n));
+        }
+    }
+    let x = text.parse::<f64>().ok()?;
+    x.is_finite().then_some(Value::Float(x))
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
@@ -315,7 +366,7 @@ pub fn write_line(writer: &mut impl Write, line: &str) -> std::io::Result<()> {
 }
 
 /// Reads one protocol line; `None` on EOF, i/o failure or a line that is
-/// not a JSON object from the wire subset.
+/// not a JSON object.
 pub fn read_msg(reader: &mut impl BufRead) -> Option<Value> {
     let mut line = String::new();
     if reader.read_line(&mut line).ok()? == 0 {
@@ -378,15 +429,66 @@ mod tests {
             "[1,2",
             "\"unterminated",
             "{\"a\":1} trailing",
-            "{\"a\":-1}",
-            "{\"a\":1.5}",
-            "{\"a\":1e9}",
-            "{\"a\":18446744073709551616}",
+            "{\"a\":1}trailing",
             "nullish",
             "{\"a\"\u{0}:1}",
+            "{\"a\":1e999}",
+            "{\"a\":-1e999}",
+            "{\"a\":+1}",
+            "{\"a\":.5}",
+            "{\"a\":1.}",
+            "{\"a\":01}",
+            "{\"a\":-01}",
+            "{\"a\":-}",
+            "{\"a\":1e}",
+            "{\"a\":1e+}",
+            "{\"a\":1.e5}",
         ] {
             assert_eq!(Value::parse(bad), None, "{bad:?} must fail to parse");
         }
+    }
+
+    /// Any number but a plain `u64` reads as a `Float`, and no integer
+    /// accessor accepts one: a decimal where a bit pattern belongs is
+    /// refused by every decoder.
+    #[test]
+    fn other_numbers_are_floats_no_integer_accessor_accepts() {
+        for (text, expected) in [
+            ("-1", -1.0),
+            ("-0", -0.0),
+            ("1.5", 1.5),
+            ("1e9", 1e9),
+            ("1E+2", 100.0),
+            ("2.5e-1", 0.25),
+            ("-2.5e1", -25.0),
+            ("18446744073709551616", 18446744073709551616.0),
+        ] {
+            let doc = format!("{{\"seconds\":{text}}}");
+            let v = Value::parse(&doc).unwrap_or_else(|| panic!("{doc} parses"));
+            let field = v.get("seconds").expect("field");
+            assert_eq!(
+                field.as_f64().map(f64::to_bits),
+                Some(f64::to_bits(expected)),
+                "{text}"
+            );
+            assert!(matches!(field, Value::Float(_)), "{text} is a Float");
+            assert_eq!(field.as_u64(), None, "{text}");
+            assert_eq!(v.get_u64("seconds"), None, "{text}");
+            assert_eq!(v.get_opt_u64("seconds"), None, "{text}");
+            assert!(GridOverrides::from_json(&v).is_err(), "{text}");
+        }
+        // A plain u64 reads exactly, and as an f64 on request.
+        let v = Value::parse("{\"n\":0,\"m\":18446744073709551615}").expect("parses");
+        assert_eq!(v.get("n"), Some(&Value::UInt(0)));
+        assert_eq!(v.get_u64("m"), Some(u64::MAX));
+        assert_eq!(v.get("m").and_then(Value::as_f64), Some(u64::MAX as f64));
+        // Numbers nest like any other value.
+        let v = Value::parse("{\"a\":[1,-2.5e1,\"x\\n\\u0041\"],\"b\":null}").expect("parses");
+        let a = v.get("a").and_then(Value::as_arr).expect("array");
+        assert_eq!(a[0], Value::UInt(1));
+        assert_eq!(a[1], Value::Float(-25.0));
+        assert_eq!(a[2].as_str(), Some("x\nA"));
+        assert_eq!(v.get("b"), Some(&Value::Null));
     }
 
     #[test]

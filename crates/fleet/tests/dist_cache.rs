@@ -8,6 +8,8 @@
 //!   coordinator never serves a chunk) and the digest still matches;
 //! * a shard dying mid-sweep only requeues its chunk — a surviving shard
 //!   finishes the sweep with the same digest;
+//! * so does a shard whose record holds a decimal where a bit pattern
+//!   belongs;
 //! * losing *every* shard is a prompt `ShardsDied` error, not a hang;
 //! * a 1024-node cell's result line, a shard's largest, crosses intact.
 //!
@@ -16,6 +18,7 @@
 //! minus the process spawn (which `crates/bench/tests/fleet_sweep_cli.rs`
 //! covers).
 
+use quanto_fleet::wire::{read_msg, Value};
 use quanto_fleet::{
     dist, Coordinator, DistError, DistOptions, FleetRunner, GridOverrides, GridSpec,
 };
@@ -160,30 +163,35 @@ fn warm_cache_sweep_runs_zero_simulations_and_keeps_the_digest() {
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
-/// A hand-rolled broken shard: completes the handshake, claims one chunk,
-/// then drops the connection without returning a result.
-fn claim_a_chunk_and_die(addr: &str) {
+/// A hand-rolled shard: completes the handshake and claims one chunk.
+/// Returns the connection's two halves and the chunk's indices.
+fn claim_a_chunk(addr: &str) -> (BufReader<TcpStream>, TcpStream, Vec<u64>) {
     let stream = TcpStream::connect(addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut writer = stream;
     writer.write_all(b"{\"t\":\"hello\"}\n").expect("hello");
-    let mut job = String::new();
-    reader.read_line(&mut job).expect("job");
-    // Echo the expected count back without bothering to parse the grid.
-    let expected: usize = job
-        .split("\"expected\":")
-        .nth(1)
-        .and_then(|tail| tail.split(|c: char| !c.is_ascii_digit()).next())
-        .and_then(|digits| digits.parse().ok())
-        .expect("job carries expected count");
+    // Echo the expected count back without bothering to expand the grid.
+    let job = read_msg(&mut reader).expect("job");
+    let expected = job.get_u64("expected").expect("job carries expected count");
     writer
         .write_all(format!("{{\"t\":\"ready\",\"count\":{expected}}}\n").as_bytes())
         .expect("ready");
     writer.write_all(b"{\"t\":\"next\"}\n").expect("next");
-    let mut chunk = String::new();
-    reader.read_line(&mut chunk).expect("chunk");
-    assert!(chunk.contains("\"indices\""), "got a chunk: {chunk}");
-    // …and die with the chunk unreturned.
+    let chunk = read_msg(&mut reader).expect("chunk");
+    let indices = chunk
+        .get("indices")
+        .and_then(Value::as_arr)
+        .unwrap_or_else(|| panic!("got a chunk: {chunk:?}"))
+        .iter()
+        .map(|index| index.as_u64().expect("integer index"))
+        .collect();
+    (reader, writer, indices)
+}
+
+/// A hand-rolled broken shard: claims one chunk, then drops the
+/// connection without returning a result.
+fn claim_a_chunk_and_die(addr: &str) {
+    let _ = claim_a_chunk(addr);
 }
 
 /// Fault tolerance: a shard that dies holding a chunk costs nothing but a
@@ -207,6 +215,49 @@ fn dying_shard_requeues_its_chunk_and_the_sweep_completes() {
         .run(|_| merged += 1)
         .expect("sweep survives the death");
     shards.join().expect("shard thread").expect("survivor ok");
+    assert_eq!(merged, PIN_BATCH_LEN, "every scenario merged exactly once");
+    assert_eq!(report.digest(), PIN_BATCH_STREAM_DIGEST);
+}
+
+/// A record well-formed in every field but one: `"p"`, a node's average
+/// power as an f64 bit pattern, holds a decimal instead.
+const DECIMAL_RECORD: &str = "{\"s\":[{\"n\":1,\"e\":5,\"d\":0,\"p\":1.5,\"te\":0,\"dc\":0,\
+     \"ps\":0,\"pr\":0,\"fw\":0,\"re\":null,\"cs\":2}],\"m\":[{\"n\":1,\"e\":5,\"g\":99,\
+     \"t\":1000000,\"i\":17,\"d\":0,\"rs\":[0,0,0,0,0,0],\"gt\":0}],\"c\":null}";
+
+/// A shard that returns a decimal where a bit pattern belongs is a broken
+/// shard: the coordinator hangs up on it and requeues its chunk, and a
+/// healthy shard finishes the sweep with the pinned digest.
+#[test]
+fn a_decimal_in_a_result_record_requeues_the_cell() {
+    let coordinator = Coordinator::bind(
+        PIN_BATCH_GRID,
+        GridOverrides::default(),
+        &options(2, 1, None),
+    )
+    .expect("bind");
+    let addr = coordinator.addr().expect("addr").to_string();
+    let shards = std::thread::spawn(move || {
+        let (mut reader, mut writer, indices) = claim_a_chunk(&addr);
+        let result = format!(
+            "{{\"t\":\"result\",\"index\":{},\"cache_hit\":false,\"record\":{DECIMAL_RECORD}}}\n",
+            indices[0]
+        );
+        writer.write_all(result.as_bytes()).expect("result");
+        let mut reply = String::new();
+        let hung_up = matches!(reader.read_line(&mut reply), Ok(0) | Err(_));
+        (hung_up, dist::run_shard(&addr))
+    });
+    let mut merged = 0usize;
+    let report = coordinator
+        .run(|_| merged += 1)
+        .expect("sweep survives the bad record");
+    let (hung_up, survivor) = shards.join().expect("shard thread");
+    assert!(
+        hung_up,
+        "the coordinator must drop a shard that sent a bad record"
+    );
+    survivor.expect("survivor ok");
     assert_eq!(merged, PIN_BATCH_LEN, "every scenario merged exactly once");
     assert_eq!(report.digest(), PIN_BATCH_STREAM_DIGEST);
 }

@@ -13,7 +13,6 @@ use crate::noise::NoiseModel;
 use crate::sink::StateIndex;
 use crate::state_vector::StateVector;
 use crate::units::{Current, Energy, Power, SimDuration, SimTime, Voltage};
-use rand::rngs::StdRng;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -94,13 +93,6 @@ impl PowerModel {
     /// Energy consumed if the platform stays in `sv` for `dur`.
     pub fn energy_over(&self, sv: &StateVector, dur: SimDuration) -> Energy {
         self.true_power(sv) * dur
-    }
-
-    /// An instantaneous current sample, as an ideal oscilloscope probe would
-    /// read it: the true current plus sample noise.
-    pub fn sample_current(&self, sv: &StateVector, rng: &mut StdRng) -> Current {
-        let true_i = self.true_current(sv).as_micro_amps();
-        Current::from_micro_amps(self.noise.perturb_sample(rng, true_i))
     }
 }
 

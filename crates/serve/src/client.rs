@@ -1,20 +1,19 @@
 //! The blocking client for the `quanto-serve` wire protocol.
 //!
 //! `fleet_sweep --server` and the end-to-end tests speak through here.
-//! One deliberate asymmetry with the server: progress events, final
-//! summaries and partial results contain decimal floats, which the
-//! [`quanto_fleet::wire`] reader rejects by design (digest-bearing floats
-//! travel as bit patterns; summaries are for humans and `jq`).  The
-//! client therefore never parses those documents — it slices them out of
-//! the envelope **verbatim** (the envelope's payload is always the last
-//! field), so what the caller prints is byte-identical to what the
-//! daemon's accumulator rendered.  Control lines (`accepted`, `error`,
-//! `metrics`) carry no floats and are parsed normally.
+//! Every line the daemon sends is parsed once with
+//! [`quanto_fleet::wire::Value`] and dispatched on its `"t"` field, so a
+//! truncated or malformed line is a [`ClientError::Protocol`], never a
+//! result.  The documents a caller receives — progress events, the final
+//! summary, a partial snapshot's `results` — are then sliced out of their
+//! parsed envelope **verbatim** (the payload is always the envelope's
+//! last field), so what the caller prints is byte-identical to what the
+//! daemon's accumulator rendered.
 
 use crate::PROTO_VERSION;
-use quanto_fleet::wire::{push_json_str, Value};
+use quanto_fleet::wire::{push_json_str, write_line, Value};
 use quanto_fleet::GridOverrides;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 
 /// Why a client call failed.
@@ -96,12 +95,11 @@ pub fn run_sweep(
     push_json_str(&mut request, grid_text);
     request.push(',');
     overrides.push_json(&mut request);
-    request.push_str("}\n");
-    writer.write_all(request.as_bytes())?;
-    writer.flush()?;
+    request.push('}');
+    write_line(&mut writer, &request)?;
 
     let line = read_line(&mut reader)?;
-    let accepted = parse_control(&line)?;
+    let accepted = parse_reply(&line)?;
     if accepted.get_str("t") != Some("accepted") {
         return Err(ClientError::Protocol(format!(
             "expected an accepted line, got: {line}"
@@ -113,22 +111,19 @@ pub fn run_sweep(
 
     loop {
         let line = read_line(&mut reader)?;
-        if line.starts_with("{\"t\":\"progress\",") {
-            on_progress(payload(&line, "\"event\":")?);
-            continue;
+        match parse_reply(&line)?.get_str("t") {
+            Some("progress") => on_progress(payload(&line, "\"event\":")?),
+            Some("final") => {
+                let summary = payload(&line, "\"summary\":")?.to_string();
+                return Ok(Outcome {
+                    job,
+                    total,
+                    warm,
+                    summary,
+                });
+            }
+            _ => return Err(ClientError::Protocol(format!("unexpected line: {line}"))),
         }
-        if line.starts_with("{\"t\":\"final\",") {
-            let summary = payload(&line, "\"summary\":")?.to_string();
-            return Ok(Outcome {
-                job,
-                total,
-                warm,
-                summary,
-            });
-        }
-        // Anything else is a control line: an error, or protocol skew.
-        parse_control(&line)?;
-        return Err(ClientError::Protocol(format!("unexpected line: {line}")));
     }
 }
 
@@ -137,18 +132,20 @@ pub fn partial(addr: &str, job: u64) -> Result<PartialSnapshot, ClientError> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    writer.write_all(format!("{{\"t\":\"partial\",\"job\":{job}}}\n").as_bytes())?;
-    writer.flush()?;
+    write_line(&mut writer, &format!("{{\"t\":\"partial\",\"job\":{job}}}"))?;
     let line = read_line(&mut reader)?;
-    if !line.starts_with("{\"t\":\"partial\",") {
-        parse_control(&line)?;
+    let reply = parse_reply(&line)?;
+    if reply.get_str("t") != Some("partial") {
         return Err(ClientError::Protocol(format!("unexpected line: {line}")));
     }
     Ok(PartialSnapshot {
-        job: scan_u64(&line, "\"job\":")?,
-        total: scan_u64(&line, "\"total\":")? as usize,
-        completed: scan_u64(&line, "\"completed\":")? as usize,
-        done: line.contains("\"done\":true"),
+        job: field(&reply, "job", &line)?,
+        total: field(&reply, "total", &line)? as usize,
+        completed: field(&reply, "completed", &line)? as usize,
+        done: reply
+            .get("done")
+            .and_then(Value::as_bool)
+            .ok_or_else(|| ClientError::Protocol(format!("missing \"done\" in: {line}")))?,
         results: payload(&line, "\"results\":")?.to_string(),
     })
 }
@@ -159,10 +156,9 @@ pub fn metrics(addr: &str) -> Result<String, ClientError> {
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    writer.write_all(b"{\"t\":\"metrics\"}\n")?;
-    writer.flush()?;
+    write_line(&mut writer, "{\"t\":\"metrics\"}")?;
     let line = read_line(&mut reader)?;
-    let reply = parse_control(&line)?;
+    let reply = parse_reply(&line)?;
     if reply.get_str("t") != Some("metrics") {
         return Err(ClientError::Protocol(format!("unexpected line: {line}")));
     }
@@ -197,9 +193,9 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, ClientError> {
     Ok(line)
 }
 
-/// Parses a float-free control line, promoting `error` lines to
+/// Parses one reply line, promoting `error` lines to
 /// [`ClientError::Server`].
-fn parse_control(line: &str) -> Result<Value, ClientError> {
+fn parse_reply(line: &str) -> Result<Value, ClientError> {
     let value = Value::parse(line)
         .ok_or_else(|| ClientError::Protocol(format!("unparsable line: {line}")))?;
     if value.get_str("t") == Some("error") {
@@ -219,28 +215,13 @@ fn field(value: &Value, key: &str, line: &str) -> Result<u64, ClientError> {
         .ok_or_else(|| ClientError::Protocol(format!("missing {key:?} in: {line}")))
 }
 
-/// The envelope payload: everything after `marker`, minus the closing
-/// brace.  Valid because the payload is always the envelope's last field.
+/// The envelope payload of a line that parsed: everything after `marker`,
+/// minus the closing brace.  Valid because the payload is always the
+/// envelope's last field.
 fn payload<'a>(line: &'a str, marker: &str) -> Result<&'a str, ClientError> {
     let start = line
         .find(marker)
         .ok_or_else(|| ClientError::Protocol(format!("missing {marker} in: {line}")))?
         + marker.len();
     Ok(&line[start..line.len() - 1])
-}
-
-/// Reads the decimal run right after `marker` (enough for the envelope's
-/// own integer fields; payload documents are never scanned this way).
-fn scan_u64(line: &str, marker: &str) -> Result<u64, ClientError> {
-    let start = line
-        .find(marker)
-        .ok_or_else(|| ClientError::Protocol(format!("missing {marker} in: {line}")))?
-        + marker.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits
-        .parse()
-        .map_err(|_| ClientError::Protocol(format!("bad number after {marker} in: {line}")))
 }

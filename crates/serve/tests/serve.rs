@@ -11,8 +11,11 @@
 //! * a finished job stays queryable after its `final` line;
 //! * a client disconnect cancels its job and frees the pool for the next
 //!   tenant;
-//! * override values the CLI refuses are refused with an `error` line,
-//!   and the daemon keeps serving;
+//! * override values the CLI refuses, and decimals where a bit pattern
+//!   belongs, are refused with an `error` line, and the daemon keeps
+//!   serving;
+//! * the client fails closed: a reply line the daemon cut short is a
+//!   protocol error, never a result;
 //! * the metrics endpoint (JSON-lines and plain HTTP) renders the daemon
 //!   counters.
 //!
@@ -286,15 +289,9 @@ fn partial_query_returns_a_byte_exact_prefix_of_the_final_summary() {
     let mut line = String::new();
     reader.read_line(&mut line).expect("accepted line");
     assert!(line.starts_with("{\"t\":\"accepted\","), "{line}");
-    let job: u64 = {
-        let start = line.find("\"job\":").expect("job id") + 6;
-        line[start..]
-            .chars()
-            .take_while(char::is_ascii_digit)
-            .collect::<String>()
-            .parse()
-            .expect("job id parses")
-    };
+    let job = quanto_fleet::wire::Value::parse(line.trim_end())
+        .and_then(|accepted| accepted.get_u64("job"))
+        .expect("accepted line names the job");
 
     // Let a couple of cells merge, then snapshot from a second connection.
     for _ in 0..2 {
@@ -442,6 +439,8 @@ fn invalid_overrides_are_refused_and_the_daemon_keeps_serving() {
             format!(",\"seconds\":{}", f64::INFINITY.to_bits()),
         ),
         (BOUNCE_GRID, ",\"seeds\":0".to_string()),
+        // A decimal where the protocol wants a bit pattern.
+        (BOUNCE_GRID, ",\"seconds\":1.5".to_string()),
     ];
     for (grid, fields) in &refused {
         let lines = submit_raw(&addr, grid, fields);
@@ -520,4 +519,57 @@ fn metrics_render_daemon_counters_over_both_transports() {
     );
 
     handle.shutdown();
+}
+
+/// A fake daemon: accepts one connection, reads the request line, sends
+/// `replies` verbatim and closes.  Returns its address.
+fn fake_daemon(replies: String) -> String {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut request = String::new();
+        reader.read_line(&mut request).expect("request line");
+        (&stream).write_all(replies.as_bytes()).expect("replies");
+    });
+    addr
+}
+
+const ACCEPTED: &str = "{\"t\":\"accepted\",\"proto\":1,\"job\":1,\"total\":1,\"warm\":0}\n";
+
+/// A daemon that dies mid-line leaves the client a truncated `progress`,
+/// `final` or `partial` line.  Each is a protocol error: no truncated
+/// event reaches the caller, and no truncated summary or snapshot comes
+/// back as a success.
+#[test]
+fn a_truncated_reply_line_is_a_protocol_error() {
+    for replies in [
+        format!(
+            "{ACCEPTED}{{\"t\":\"final\",\"job\":1,\"summary\":{{\"scenarios\":1,\"digest\":\"0x00000000000000"
+        ),
+        format!("{ACCEPTED}{{\"t\":\"progress\",\"job\":1,\"event\":{{\"completed\":1,\"total\":1"),
+        format!("{ACCEPTED}{{\"t\":\"final\",\"job\":1,\"summary\":{{\"scenarios\":1}}\n"),
+    ] {
+        let addr = fake_daemon(replies.clone());
+        let mut events = Vec::new();
+        let outcome = client::run_sweep(&addr, "[grid]", &Default::default(), |event| {
+            events.push(event.to_string())
+        });
+        assert!(
+            matches!(outcome, Err(client::ClientError::Protocol(_))),
+            "{replies:?} gave {outcome:?}"
+        );
+        assert!(events.is_empty(), "{replies:?} delivered {events:?}");
+    }
+
+    let addr = fake_daemon(
+        "{\"t\":\"partial\",\"job\":1,\"total\":6,\"completed\":2,\"done\":false,\"results\":[{\"index\":0"
+            .to_string(),
+    );
+    let snapshot = client::partial(&addr, 1);
+    assert!(
+        matches!(snapshot, Err(client::ClientError::Protocol(_))),
+        "{snapshot:?}"
+    );
 }
