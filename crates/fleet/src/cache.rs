@@ -1,10 +1,10 @@
 //! The content-addressed on-disk result cache.
 //!
 //! Each entry maps a scenario's canonical spec digest
-//! ([`crate::Scenario::spec_digest`]) to its `ScenarioRecord`
-//! — the O(1) residue a [`crate::ScenarioResult`] can be rebuilt from without
-//! re-running the simulation.  The layout under the cache directory is one
-//! file per entry:
+//! ([`crate::Scenario::spec_digest`]) to its result's record (PROTOCOL.md
+//! §5) — the O(1) residue a [`crate::ScenarioResult`] writes of itself and
+//! is rebuilt from without re-running the simulation.  The layout under the
+//! cache directory is one file per entry:
 //!
 //! ```text
 //! .quanto-cache/
@@ -38,7 +38,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-use crate::record::ScenarioRecord;
 use crate::report::ScenarioResult;
 use crate::scenario::Scenario;
 use crate::wire::Value;
@@ -104,16 +103,6 @@ impl ResultCache {
         self.dir.join(format!("{key:016x}.json"))
     }
 
-    /// Reads and validates the raw entry document for a spec digest; no
-    /// counting, total on any kind of damage.
-    fn read_record(&self, key: u64) -> Option<ScenarioRecord> {
-        std::fs::read_to_string(self.entry_path(key))
-            .ok()
-            .as_deref()
-            .and_then(Value::parse)
-            .and_then(|v| decode_entry(&v, key))
-    }
-
     /// Looks the scenario up by content address and rebuilds its result at
     /// submission index `index` (with [`ScenarioResult::cache_hit`] set).
     /// Any failure along the way — no file, unreadable, unparsable, wrong
@@ -122,9 +111,15 @@ impl ResultCache {
     /// caller simply simulates.  This is the probe a [`crate::Job`] runs
     /// for every cell when it is built: a hit never enters the queue.
     pub fn probe(&self, index: usize, scenario: &Scenario) -> Option<ScenarioResult> {
-        let result = self
-            .read_record(scenario.spec_digest())
-            .and_then(|record| ScenarioResult::from_record(index, scenario.clone(), &record, true));
+        let key = scenario.spec_digest();
+        let entry = std::fs::read_to_string(self.entry_path(key))
+            .ok()
+            .as_deref()
+            .and_then(Value::parse);
+        let result = entry
+            .as_ref()
+            .and_then(|entry| entry_record(entry, key))
+            .and_then(|record| ScenarioResult::from_record(index, scenario.clone(), record, true));
         match result {
             Some(result) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -139,18 +134,16 @@ impl ResultCache {
         }
     }
 
-    /// Stores a freshly-computed record under the scenario's content
-    /// address: tmp file in the same directory, then atomic rename.
+    /// Stores a freshly simulated result's record under its scenario's
+    /// content address: tmp file in the same directory, then atomic rename.
     /// Best-effort — a full disk or read-only directory costs the *next*
     /// run its warm start, not this run its result — but `false` is
     /// reported so callers can surface it.
-    pub(crate) fn store_record(&self, scenario: &Scenario, record: &ScenarioRecord) -> bool {
-        let key = scenario.spec_digest();
-        let mut body = String::with_capacity(256);
-        body.push_str(&format!(
-            "{{\"version\":{CACHE_FORMAT_VERSION},\"spec\":\"{key:016x}\",\"record\":"
-        ));
-        body.push_str(&record.encode());
+    pub(crate) fn store(&self, result: &ScenarioResult) -> bool {
+        let key = result.scenario.spec_digest();
+        let mut body =
+            format!("{{\"version\":{CACHE_FORMAT_VERSION},\"spec\":\"{key:016x}\",\"record\":");
+        result.push_record(&mut body);
         body.push_str("}\n");
         let tmp = self
             .dir
@@ -168,21 +161,21 @@ impl ResultCache {
     }
 }
 
-/// Decodes one entry document, validating the version stamp and the spec
-/// echo before trusting the record.
-fn decode_entry(value: &Value, key: u64) -> Option<ScenarioRecord> {
-    if value.get_u64("version")? != CACHE_FORMAT_VERSION {
+/// The record of one entry document, once its version stamp and spec echo
+/// check out.
+fn entry_record(entry: &Value, key: u64) -> Option<&Value> {
+    if entry.get_u64("version")? != CACHE_FORMAT_VERSION
+        || entry.get_str("spec")? != format!("{key:016x}")
+    {
         return None;
     }
-    if value.get_str("spec")? != format!("{key:016x}") {
-        return None;
-    }
-    ScenarioRecord::from_value(value.get("record")?)
+    entry.get("record")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::SimWorkspace;
     use hw_model::SimDuration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -192,47 +185,30 @@ mod tests {
         dir
     }
 
-    fn sample_record() -> ScenarioRecord {
-        use crate::record::{StreamRecord, SummaryRecord};
-        ScenarioRecord {
-            summaries: vec![SummaryRecord {
-                node: 1,
-                log_entries: 5,
-                log_dropped: 0,
-                average_power_bits: (2.5f64).to_bits(),
-                total_energy_bits: (5.0f64).to_bits(),
-                radio_duty_bits: 0,
-                packets_sent: 0,
-                packets_received: 0,
-                false_wakeups: 0,
-                regression_error_bits: None,
-                cpu_segments: 2,
-            }],
-            stream: vec![StreamRecord {
-                node: 1,
-                entries: 5,
-                entry_digest: 99,
-                final_time_us: 1_000_000,
-                final_icount: 17,
-                log_dropped: 0,
-                radio_stats: [0; 6],
-                ground_truth_bits: (5.0f64).to_bits(),
-            }],
-            medium: None,
-        }
+    /// A freshly simulated one-second idle cell, the cheapest there is.
+    fn idle_result() -> ScenarioResult {
+        let scenario = Scenario::idle(SimDuration::from_secs(1));
+        ScenarioResult::execute_streaming_in(0, scenario, &mut SimWorkspace::new())
+    }
+
+    fn record_of(result: &ScenarioResult) -> String {
+        let mut record = String::new();
+        result.push_record(&mut record);
+        record
     }
 
     #[test]
     fn store_then_load_round_trips() {
         let dir = tmp_dir("roundtrip");
         let cache = ResultCache::open(&dir).expect("open");
-        let scenario = Scenario::idle(SimDuration::from_secs(1));
+        let stored = idle_result();
+        let scenario = stored.scenario.clone();
         assert!(cache.probe(0, &scenario).is_none(), "cold cache misses");
-        assert!(cache.store_record(&scenario, &sample_record()));
+        assert!(cache.store(&stored));
         let hit = cache.probe(7, &scenario).expect("warm cache hits");
         assert!(hit.cache_hit());
         assert_eq!(hit.index, 7);
-        assert_eq!(hit.to_record(), sample_record());
+        assert_eq!(record_of(&hit), record_of(&stored));
         // A different spec does not alias.
         assert!(cache
             .probe(0, &Scenario::idle(SimDuration::from_secs(2)))
@@ -252,8 +228,9 @@ mod tests {
     fn corrupt_truncated_and_stale_entries_are_misses() {
         let dir = tmp_dir("corrupt");
         let cache = ResultCache::open(&dir).expect("open");
-        let scenario = Scenario::idle(SimDuration::from_secs(1));
-        assert!(cache.store_record(&scenario, &sample_record()));
+        let stored = idle_result();
+        let scenario = stored.scenario.clone();
+        assert!(cache.store(&stored));
         let path = cache.entry_path(scenario.spec_digest());
         let good = std::fs::read_to_string(&path).expect("entry exists");
 
@@ -268,7 +245,8 @@ mod tests {
         assert!(cache.probe(0, &scenario).is_none());
         // A decimal where a bit pattern belongs parses, but no integer
         // accessor takes it.
-        let bits = format!("\"p\":{}", 2.5f64.to_bits());
+        let power = stored.summaries[0].average_power.as_micro_watts();
+        let bits = format!("\"p\":{}", power.to_bits());
         assert!(good.contains(&bits), "{good}");
         std::fs::write(&path, good.replace(&bits, "\"p\":1.5")).unwrap();
         assert!(cache.probe(0, &scenario).is_none());
@@ -280,11 +258,13 @@ mod tests {
         // A structurally-valid record for the *wrong* scenario (two nodes
         // expected, one recorded) is also a miss.
         let bounce = Scenario::bounce(SimDuration::from_secs(1));
-        assert!(cache.store_record(&bounce, &sample_record()));
+        let mut aliased = idle_result();
+        aliased.scenario = bounce.clone();
+        assert!(cache.store(&aliased));
         assert!(cache.probe(0, &bounce).is_none());
         // The intact entry still hits — misses never poison the cache.
         let hit = cache.probe(0, &scenario).expect("intact entry hits");
-        assert_eq!(hit.to_record(), sample_record());
+        assert_eq!(record_of(&hit), record_of(&stored));
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
@@ -292,8 +272,7 @@ mod tests {
     fn writes_are_atomic_no_tmp_left_behind() {
         let dir = tmp_dir("atomic");
         let cache = ResultCache::open(&dir).expect("open");
-        let scenario = Scenario::blink(SimDuration::from_secs(1));
-        assert!(cache.store_record(&scenario, &sample_record()));
+        assert!(cache.store(&idle_result()));
         let leftovers: Vec<_> = std::fs::read_dir(&dir)
             .expect("dir readable")
             .filter_map(|e| e.ok())

@@ -24,7 +24,6 @@
 //! coord → {"t":"chunk","indices":[0,1,2,3]}   (or {"t":"done"})
 //! shard → {"t":"result","index":0,"cache_hit":false,"record":{…}} ×4
 //! shard → {"t":"next"}                        (… and so on)
-//! shard → {"t":"stats","hits":0,"misses":4,"writes":4}   (after done)
 //! ```
 //!
 //! **Self-scheduling.**  Chunks are claimed, not assigned: whenever a shard
@@ -34,24 +33,27 @@
 //! single scenarios, so a straggler shard can never sit on a long tail
 //! while its peers idle.  The pool's backpressure window never clamps
 //! these chunks: every extra round-trip would cost a sharded sweep more
-//! than the reorder buffer it saves.
+//! than the reorder buffer it saves.  `done` means the sweep is over: a
+//! shard that asks while the queue is empty but a peer still holds cells
+//! waits for them, and gets them if that peer is lost.
 //!
 //! **Determinism.**  The shards ship grid *text* plus the numeric overrides
 //! (not expanded scenarios), re-expand identically, and return each
-//! scenario's `ScenarioRecord` — summaries, stream
-//! residues and medium counters with every float as its exact bit pattern.
-//! The coordinator's job reorders results by submission index and folds
-//! them exactly as an in-process run's job does, so
-//! [`crate::FleetReport::digest`] is byte-identical at any shard count ×
-//! thread count.  Dist runs always use [`Retention::Stream`]: a record
-//! carries no raw log.
+//! scenario's record (PROTOCOL.md §5), which [`ScenarioResult`] writes and
+//! reads itself: summaries, stream residues and medium counters with every
+//! float as its exact bit pattern.  The coordinator's job reorders results
+//! by submission index and folds them exactly as an in-process run's job
+//! does, so [`crate::FleetReport::digest`] is byte-identical at any shard
+//! count × thread count.  Dist runs always use [`Retention::Stream`]: a
+//! record carries no raw log.
 //!
-//! **Fault tolerance.**  A handler that loses its connection mid-chunk
-//! pushes the chunk's unreturned indices back onto the *front* of the
-//! queue, so a surviving shard re-executes them and the sweep still
-//! completes with the same digest.  Only when every connection is gone and
-//! work remains does [`Coordinator::run`] give up with
-//! [`DistError::ShardsDied`].
+//! **Fault tolerance.**  A handler that loses its connection mid-chunk, or
+//! reads a line it cannot use (a `result` whose record does not rebuild its
+//! cell among them), hangs up and pushes the chunk's unreturned indices
+//! back onto the *front* of the queue, so a surviving shard re-executes
+//! them and the sweep still completes with the same digest.  Only when
+//! every connection is gone and work remains does [`Coordinator::run`]
+//! give up with [`DistError::ShardsDied`].
 //!
 //! **Cache integration.**  The coordinator's job probes the result cache
 //! for every cell up front — hits never enter the queue (a fully-warm
@@ -82,7 +84,6 @@ pub use crate::grid::GridOverrides;
 use crate::grid::{GridError, GridSpec};
 use crate::job::{FleetProgress, Job, JobStatus};
 use crate::pool::WorkerPool;
-use crate::record::ScenarioRecord;
 use crate::report::{FleetReport, ScenarioResult};
 use crate::runner::Retention;
 use crate::scenario::Scenario;
@@ -398,11 +399,12 @@ fn serve_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job) -> Resu
         if msg.get_str("t") != Some("next") {
             return Err(Vec::new());
         }
-        let chunk = job.take_chunk(spec.shards);
+        // Empty only once the sweep is over: while a peer still holds
+        // cells, this shard waits for them to come back or to merge.
+        let chunk = job.claim_or_wait(spec.shards);
         if chunk.is_empty() {
             write_line(&mut writer, "{\"t\":\"done\"}").map_err(|_| Vec::new())?;
-            // The shard flushes its cache stats (if any) and closes; the
-            // report counts cache traffic from the merged cells instead.
+            // Drain to the shard's close, so it never sees a reset.
             while read_msg(&mut reader).is_some() {}
             return Ok(());
         }
@@ -438,24 +440,21 @@ fn serve_shard(stream: TcpStream, shard: u32, spec: &JobSpec, job: &Job) -> Resu
             let Some(slot) = owed.iter().position(|&i| i == index) else {
                 return Err(owed);
             };
-            let Some(record) = msg.get("record").and_then(ScenarioRecord::from_value) else {
-                return Err(owed);
-            };
             let cache_hit = msg
                 .get("cache_hit")
                 .and_then(Value::as_bool)
                 .unwrap_or(false);
-            owed.swap_remove(slot);
             let scenario = job.scenario(index).expect("owed indices are in range");
-            match ScenarioResult::from_record(index, scenario.clone(), &record, cache_hit) {
-                Some(result) => {
-                    job.deliver(result, Some(shard));
-                }
-                // The record does not describe the scenario (shard bug or
-                // grid skew): put the cell back so a healthy shard re-runs
-                // it.
-                None => job.requeue(&[index]),
-            }
+            // A record that does not rebuild its cell — malformed, or well
+            // formed for another node set or medium (a shard bug or a
+            // skewed grid) — ends the connection like any broken line.
+            let Some(result) = msg.get("record").and_then(|record| {
+                ScenarioResult::from_record(index, scenario.clone(), record, cache_hit)
+            }) else {
+                return Err(owed);
+            };
+            owed.swap_remove(slot);
+            job.deliver(result, Some(shard));
         }
     }
 }
@@ -529,18 +528,7 @@ pub fn run_shard(addr: &str) -> Result<(), DistError> {
     let workers = threads.clamp(1, scenarios.len().max(1));
     WorkerPool::scoped(workers, cache.as_ref(), |pool| {
         run_chunks(pool, &scenarios, &mut reader, &mut writer)
-    })?;
-    if let Some(cache) = &cache {
-        let s = cache.stats();
-        write_line(
-            &mut writer,
-            &format!(
-                "{{\"t\":\"stats\",\"hits\":{},\"misses\":{},\"writes\":{}}}",
-                s.hits, s.misses, s.writes
-            ),
-        )?;
-    }
-    Ok(())
+    })
 }
 
 /// The shard's work loop: claim a chunk, run it as a job on `pool`, return
@@ -575,14 +563,12 @@ fn run_chunks(
                 let job = Arc::new(Job::new(batch, Retention::Stream, pool.workers(), None));
                 pool.submit(job.clone());
                 let report = job.finish_with(|_| {});
-                for (position, result) in report.results.iter().enumerate() {
-                    let mut line = String::with_capacity(256);
-                    line.push_str(&format!(
-                        "{{\"t\":\"result\",\"index\":{},\"cache_hit\":{},\"record\":",
-                        indices[position],
+                for (result, index) in report.results.iter().zip(&indices) {
+                    let mut line = format!(
+                        "{{\"t\":\"result\",\"index\":{index},\"cache_hit\":{},\"record\":",
                         result.cache_hit(),
-                    ));
-                    line.push_str(&result.to_record().encode());
+                    );
+                    result.push_record(&mut line);
                     line.push('}');
                     write_line(writer, &line)?;
                 }

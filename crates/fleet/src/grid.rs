@@ -79,7 +79,7 @@
 //! assert_eq!(batch[0].name, "lpl_ch17_seed1");
 //! ```
 
-use crate::scenario::{GeometrySpec, MediumSpec, PathLossSpec, Scenario, TraceSpec};
+use crate::scenario::{AppSpec, GeometrySpec, MediumSpec, PathLossSpec, Scenario, TraceSpec};
 use hw_model::SimDuration;
 use std::fmt;
 
@@ -166,41 +166,6 @@ impl GridOverrides {
     }
 }
 
-/// Which application a cell runs — the grid-level mirror of
-/// [`crate::AppSpec`], carrying the knobs the axes do not cover.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CellApp {
-    /// A low-power-listening node under `interference` duty (0 disables the
-    /// access point).
-    Lpl {
-        /// Fraction of slots the 802.11 interferer is on the air.
-        interference: f64,
-    },
-    /// The Blink profiling workload.
-    Blink,
-    /// The two-node Bounce exchange.
-    Bounce,
-    /// `pairs` side-by-side Bounce exchanges.
-    BouncePairs {
-        /// How many two-node exchanges run side by side (1–32767).
-        pairs: u16,
-    },
-    /// The idle single-node baseline.
-    Idle,
-}
-
-/// The geometric model under a mobility cell.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BaseGeometry {
-    /// Hard-range unit disk.
-    UnitDisk {
-        /// Communication range, meters.
-        range_m: f64,
-    },
-    /// Log-distance path loss.
-    PathLoss(PathLossSpec),
-}
-
 /// How a cell places its nodes.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Placement {
@@ -270,8 +235,9 @@ impl MediumKind {
 pub struct CellSpec {
     /// The section label (for error messages).
     pub label: String,
-    /// The application workload.
-    pub app: CellApp,
+    /// The application workload, with the knobs the axes do not cover
+    /// (LPL interference, the pair count).
+    pub app: AppSpec,
     /// Scenario-name template (`{seed}`, `{channel}`, `{seconds}`,
     /// `{medium}`, `{nodes}`, `{pairs}`); `None` derives a name from the
     /// app and axes.
@@ -293,7 +259,7 @@ pub struct CellSpec {
     pub path_loss: PathLossSpec,
     /// The mobility base geometry (`None` when the cell has no mobility
     /// medium).
-    pub base: Option<BaseGeometry>,
+    pub base: Option<GeometrySpec>,
     /// Mobility waypoint traces.
     pub traces: Vec<TraceTemplate>,
 }
@@ -335,7 +301,7 @@ impl GridSpec {
     /// `--stress PAIRS` override.
     pub fn override_pairs(&mut self, pairs: u16) {
         for cell in &mut self.cells {
-            if let CellApp::BouncePairs { pairs: p } = &mut cell.app {
+            if let AppSpec::BouncePairs { pairs: p } = &mut cell.app {
                 *p = pairs;
             }
         }
@@ -378,9 +344,9 @@ impl CellSpec {
     /// The cell's node count (for `{nodes}` and line placements).
     fn node_count(&self) -> u32 {
         match self.app {
-            CellApp::Lpl { .. } | CellApp::Blink | CellApp::Idle => 1,
-            CellApp::Bounce => 2,
-            CellApp::BouncePairs { pairs } => 2 * pairs as u32,
+            AppSpec::LplListener { .. } | AppSpec::Blink | AppSpec::Idle => 1,
+            AppSpec::Bounce => 2,
+            AppSpec::BouncePairs { pairs } => 2 * pairs as u32,
         }
     }
 
@@ -388,7 +354,7 @@ impl CellSpec {
         match &self.placement {
             Placement::Explicit(list) => Ok(list.clone()),
             Placement::Line { spacing_m, gap_m } => {
-                let CellApp::BouncePairs { pairs } = self.app else {
+                let AppSpec::BouncePairs { pairs } = self.app else {
                     return Err(self.err(
                         "placement = line needs app = bounce_pairs (the line is built \
                          from the pair count)",
@@ -423,14 +389,9 @@ impl CellSpec {
                 positions: self.positions()?,
             },
             MediumKind::Mobility => {
-                let base = match self.base.as_ref().ok_or_else(|| {
+                let base = self.base.clone().ok_or_else(|| {
                     self.err("medium = mobility needs base = unit_disk or path_loss")
-                })? {
-                    BaseGeometry::UnitDisk { range_m } => {
-                        GeometrySpec::UnitDisk { range_m: *range_m }
-                    }
-                    BaseGeometry::PathLoss(spec) => GeometrySpec::PathLoss(spec.clone()),
-                };
+                })?;
                 let us = duration.as_micros();
                 let traces: Vec<TraceSpec> = self
                     .traces
@@ -515,13 +476,13 @@ impl CellSpec {
         medium: MediumKind,
     ) -> Result<Scenario, GridError> {
         let mut scenario = match self.app {
-            CellApp::Lpl { interference } => {
-                Scenario::lpl(channel.unwrap_or(26), interference, duration)
+            AppSpec::LplListener { interference_duty } => {
+                Scenario::lpl(channel.unwrap_or(26), interference_duty, duration)
             }
-            CellApp::Blink => Scenario::blink(duration),
-            CellApp::Bounce => Scenario::bounce(duration),
-            CellApp::BouncePairs { pairs } => Scenario::bounce_pairs(pairs, duration),
-            CellApp::Idle => Scenario::idle(duration),
+            AppSpec::Blink => Scenario::blink(duration),
+            AppSpec::Bounce => Scenario::bounce(duration),
+            AppSpec::BouncePairs { pairs } => Scenario::bounce_pairs(pairs, duration),
+            AppSpec::Idle => Scenario::idle(duration),
         };
         if let Some(c) = channel {
             scenario.channel = c;
@@ -579,7 +540,7 @@ impl CellSpec {
                 "medium" => out.push_str(medium.name()),
                 "nodes" => out.push_str(&self.node_count().to_string()),
                 "pairs" => match self.app {
-                    CellApp::BouncePairs { pairs } => out.push_str(&pairs.to_string()),
+                    AppSpec::BouncePairs { pairs } => out.push_str(&pairs.to_string()),
                     _ => {
                         return Err(self.err(format!(
                             "name template {template:?} uses {{pairs}} but the app is not \
@@ -658,18 +619,18 @@ impl RawCell {
             ));
         };
         let app = match app_token.as_str() {
-            "lpl" => CellApp::Lpl {
-                interference: self.interference.unwrap_or(0.0),
+            "lpl" => AppSpec::LplListener {
+                interference_duty: self.interference.unwrap_or(0.0),
             },
-            "blink" => CellApp::Blink,
-            "bounce" => CellApp::Bounce,
+            "blink" => AppSpec::Blink,
+            "bounce" => AppSpec::Bounce,
             "bounce_pairs" => {
                 let pairs = self
                     .pairs
                     .ok_or_else(|| err("app = bounce_pairs needs pairs = N (1..=32767)".into()))?;
-                CellApp::BouncePairs { pairs }
+                AppSpec::BouncePairs { pairs }
             }
-            "idle" => CellApp::Idle,
+            "idle" => AppSpec::Idle,
             other => {
                 return Err(GridError::at(
                     app_line,
@@ -681,21 +642,21 @@ impl RawCell {
                 ))
             }
         };
-        if self.interference.is_some() && !matches!(app, CellApp::Lpl { .. }) {
+        if self.interference.is_some() && !matches!(app, AppSpec::LplListener { .. }) {
             return Err(err("interference only applies to app = lpl".into()));
         }
-        if self.pairs.is_some() && !matches!(app, CellApp::BouncePairs { .. }) {
+        if self.pairs.is_some() && !matches!(app, AppSpec::BouncePairs { .. }) {
             return Err(err("pairs only applies to app = bounce_pairs".into()));
         }
         let uses_mobility = self.mediums.contains(&MediumKind::Mobility);
         let base = match (&self.base, uses_mobility) {
             (Some((token, base_line)), true) => Some(match token.as_str() {
-                "unit_disk" => BaseGeometry::UnitDisk {
+                "unit_disk" => GeometrySpec::UnitDisk {
                     range_m: self
                         .range_m
                         .ok_or_else(|| err("base = unit_disk needs range_m".into()))?,
                 },
-                "path_loss" => BaseGeometry::PathLoss(self.path_loss.clone()),
+                "path_loss" => GeometrySpec::PathLoss(self.path_loss.clone()),
                 other => {
                     return Err(GridError::at(
                         *base_line,

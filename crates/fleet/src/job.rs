@@ -127,7 +127,8 @@ pub struct Job {
     /// Indices not yet claimed by an executor, ascending unless requeued.
     queue: Mutex<VecDeque<usize>>,
     state: Mutex<State>,
-    /// Signalled on every merge, on completion and on cancellation.
+    /// Signalled, under the state lock, on every merge, on completion, on
+    /// cancellation and on a requeue.
     changed: Condvar,
     cancelled: AtomicBool,
 }
@@ -233,13 +234,41 @@ impl Job {
         take_chunk(&self.queue, claimants)
     }
 
+    /// Claims like [`Job::take_chunk`], but while the queue is empty and
+    /// the job still runs, waits until a requeue refills it or the job
+    /// finishes or is cancelled.  Empty only once the job is over, so a
+    /// claimant told there is nothing left never leaves while cells a peer
+    /// holds could still come back.
+    pub(crate) fn claim_or_wait(&self, claimants: u32) -> Vec<usize> {
+        let mut st = self.lock();
+        loop {
+            let chunk = self.take_chunk(claimants);
+            if !chunk.is_empty() || st.report.is_some() || self.is_cancelled() {
+                return chunk;
+            }
+            st = self
+                .changed
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
     /// Puts claimed but undelivered indices back at the front of the
-    /// queue, in their original order, so they are claimed next.
+    /// queue, in their original order, so they are claimed next, and wakes
+    /// any [`Job::claim_or_wait`] claimant.
     pub(crate) fn requeue(&self, indices: &[usize]) {
+        if indices.is_empty() {
+            return;
+        }
         let mut queue = self.queue();
         for &index in indices.iter().rev() {
             queue.push_front(index);
         }
+        drop(queue);
+        // Under the state lock, so the wake-up cannot fall between a
+        // claimant's look at the empty queue and its wait.
+        let _st = self.lock();
+        self.changed.notify_all();
     }
 
     /// Runs one claimed cell through the shared execution seam
@@ -323,10 +352,13 @@ impl Job {
     /// Idempotent, and a no-op once the job finished.  Returns whether this
     /// call did the cancelling.
     pub fn cancel(&self) -> bool {
-        if self.lock().report.is_some() || self.cancelled.swap(true, Ordering::Relaxed) {
+        let st = self.lock();
+        if st.report.is_some() || self.cancelled.swap(true, Ordering::Relaxed) {
             return false;
         }
         self.queue().clear();
+        // Under the state lock, like every other wake-up: a claimant
+        // waiting in `claim_or_wait` must not miss it.
         self.changed.notify_all();
         true
     }

@@ -53,7 +53,6 @@ pub mod dist;
 pub mod grid;
 pub mod job;
 pub mod pool;
-mod record;
 pub mod report;
 pub mod runner;
 pub mod scenario;

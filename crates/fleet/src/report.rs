@@ -24,10 +24,9 @@
 //! identical at any thread count and in either retention mode.
 
 use crate::cache::CacheStats;
-use crate::record::{CountersRecord, ScenarioRecord, StreamRecord, SummaryRecord};
 use crate::runner::Retention;
 use crate::scenario::Scenario;
-use crate::wire::push_json_str;
+use crate::wire::{push_json_str, Value};
 use crate::workspace::SimWorkspace;
 use analysis::{pct, PowerInterval, SegmentBuilder};
 use analysis::{regress, IntervalBuilder, ObservationPool, RegressionOptions, TextTable};
@@ -40,6 +39,7 @@ use quanto_apps::ExperimentContext;
 use quanto_core::{Fnv, LogEncoding, LogEntry, LogSink, NodeId, Stamp, StreamDigest, VecSink};
 use std::cell::RefCell;
 use std::fmt;
+use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -495,138 +495,172 @@ impl ScenarioResult {
         self.cache_hit
     }
 
-    /// The serializable residue of this result: everything
+    /// Appends this result's record (PROTOCOL.md §5) to `out`: one compact
+    /// JSON object, no newline, holding everything
     /// [`ScenarioResult::fold_stream_digest`] folds and the reports render,
-    /// with floats as bit patterns.  Raw outputs are *not* captured — a
-    /// record can only rebuild a stream-retention result.
-    pub(crate) fn to_record(&self) -> ScenarioRecord {
-        ScenarioRecord {
-            summaries: self
-                .summaries
-                .iter()
-                .map(|s| SummaryRecord {
-                    node: s.node.as_u32(),
-                    log_entries: s.log_entries as u64,
-                    log_dropped: s.log_dropped,
-                    average_power_bits: s.average_power.as_micro_watts().to_bits(),
-                    total_energy_bits: s.total_energy.as_micro_joules().to_bits(),
-                    radio_duty_bits: s.radio_duty_cycle.to_bits(),
-                    packets_sent: s.packets_sent,
-                    packets_received: s.packets_received,
-                    false_wakeups: s.false_wakeups,
-                    regression_error_bits: s.regression_error.map(f64::to_bits),
-                    cpu_segments: s.cpu_segments,
-                })
-                .collect(),
-            stream: self
-                .stream
-                .iter()
-                .map(|m| StreamRecord {
-                    node: m.node.as_u32(),
-                    entries: m.entries,
-                    entry_digest: m.entry_digest,
-                    final_time_us: m.final_stamp.time.as_micros(),
-                    final_icount: m.final_stamp.icount,
-                    log_dropped: m.log_dropped,
-                    radio_stats: [
-                        m.radio_stats.packets_sent,
-                        m.radio_stats.packets_received,
-                        m.radio_stats.clean_wakeups,
-                        m.radio_stats.false_wakeups,
-                        m.radio_stats.rx_wakeups,
-                        m.radio_stats.busy_backoffs,
-                    ],
-                    ground_truth_bits: m.ground_truth_total.as_micro_joules().to_bits(),
-                })
-                .collect(),
-            medium: self.medium_counters.as_ref().map(|c| CountersRecord {
-                delivered: c.delivered,
-                lost_out_of_range: c.lost_out_of_range,
-                lost_below_sensitivity: c.lost_below_sensitivity,
-                lost_captured: c.lost_captured,
-                candidates_examined: c.candidates_examined,
-                pruned_by_cutoff: c.pruned_by_cutoff,
-            }),
+    /// with every `f64` as its IEEE-754 bit pattern.  Raw outputs are not
+    /// written: a record rebuilds only a stream-retention result.
+    pub(crate) fn push_record(&self, out: &mut String) {
+        out.push_str("{\"s\":[");
+        for (i, s) in self.summaries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"n\":{},\"e\":{},\"d\":{},\"p\":{},\"te\":{},\"dc\":{},\
+                 \"ps\":{},\"pr\":{},\"fw\":{},\"re\":",
+                s.node.as_u32(),
+                s.log_entries,
+                s.log_dropped,
+                s.average_power.as_micro_watts().to_bits(),
+                s.total_energy.as_micro_joules().to_bits(),
+                s.radio_duty_cycle.to_bits(),
+                s.packets_sent,
+                s.packets_received,
+                s.false_wakeups,
+            );
+            match s.regression_error {
+                Some(error) => {
+                    let _ = write!(out, "{}", error.to_bits());
+                }
+                None => out.push_str("null"),
+            }
+            let _ = write!(out, ",\"cs\":{}}}", s.cpu_segments);
         }
+        out.push_str("],\"m\":[");
+        for (i, m) in self.stream.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let rs = &m.radio_stats;
+            let _ = write!(
+                out,
+                "{{\"n\":{},\"e\":{},\"g\":{},\"t\":{},\"i\":{},\"d\":{},\
+                 \"rs\":[{},{},{},{},{},{}],\"gt\":{}}}",
+                m.node.as_u32(),
+                m.entries,
+                m.entry_digest,
+                m.final_stamp.time.as_micros(),
+                m.final_stamp.icount,
+                m.log_dropped,
+                rs.packets_sent,
+                rs.packets_received,
+                rs.clean_wakeups,
+                rs.false_wakeups,
+                rs.rx_wakeups,
+                rs.busy_backoffs,
+                m.ground_truth_total.as_micro_joules().to_bits(),
+            );
+        }
+        out.push_str("],\"c\":");
+        match &self.medium_counters {
+            Some(c) => {
+                let _ = write!(
+                    out,
+                    "{{\"dl\":{},\"lr\":{},\"ls\":{},\"lc\":{},\"ce\":{},\"pc\":{}}}",
+                    c.delivered,
+                    c.lost_out_of_range,
+                    c.lost_below_sensitivity,
+                    c.lost_captured,
+                    c.candidates_examined,
+                    c.pruned_by_cutoff,
+                );
+            }
+            None => out.push_str("null"),
+        }
+        out.push('}');
     }
 
-    /// Rebuilds a result from a record without running anything, restoring
-    /// every float from its bit pattern so the digest fold is byte-identical
-    /// to the original execution.  Returns `None` when the record does not
-    /// actually describe `scenario` — its node-id sets must match the
-    /// scenario's, and it must carry delivery counters exactly when the
-    /// scenario's medium tracks them — which downgrades a stale or aliased
-    /// cache entry to a miss instead of corrupting the report.
+    /// Rebuilds a result from its record (PROTOCOL.md §5) without running
+    /// anything, restoring every float from its bit pattern so the digest
+    /// fold is byte-identical to the original execution.  Total: a missing
+    /// key, a wrong shape, a short `rs` array or an integer out of its
+    /// field's range gives `None`.  So does a record that does not describe
+    /// `scenario` — its node ids must be the scenario's, in order, and it
+    /// must carry delivery counters exactly when the scenario's medium
+    /// tracks them — which makes a stale or aliased cache entry a miss and
+    /// a skewed shard a broken one instead of corrupting the report.
     pub(crate) fn from_record(
         index: usize,
         scenario: Scenario,
-        record: &ScenarioRecord,
+        record: &Value,
         cache_hit: bool,
     ) -> Option<ScenarioResult> {
         let node_ids = scenario.node_ids();
-        let ids_match = |nodes: &[u32]| {
-            nodes.len() == node_ids.len()
-                && nodes
+        // The per-node array under `key`, when its `n` fields are the
+        // scenario's node ids.
+        let nodes = |key| {
+            let items = record.get(key)?.as_arr()?;
+            let ids_match = items.len() == node_ids.len()
+                && items
                     .iter()
                     .zip(&node_ids)
-                    .all(|(raw, id)| NodeId(*raw) == *id)
+                    .all(|(item, id)| item.get_u64("n") == Some(u64::from(id.as_u32())));
+            ids_match.then_some(items)
         };
-        let summary_ids: Vec<u32> = record.summaries.iter().map(|s| s.node).collect();
-        let stream_ids: Vec<u32> = record.stream.iter().map(|m| m.node).collect();
-        if !ids_match(&summary_ids) || !ids_match(&stream_ids) {
-            return None;
-        }
-        let medium_kind = scenario.medium.kind();
-        if record.medium.is_some() != (medium_kind != "ideal") {
-            return None;
-        }
-        let summaries = record
-            .summaries
+        let float = |v: &Value, key| v.get_u64(key).map(f64::from_bits);
+        let summaries = nodes("s")?
             .iter()
-            .map(|s| {
+            .zip(&node_ids)
+            .map(|(s, &node)| {
                 Some(NodeSummary {
-                    node: NodeId(s.node),
-                    log_entries: usize::try_from(s.log_entries).ok()?,
-                    log_dropped: s.log_dropped,
-                    average_power: Power::from_micro_watts(f64::from_bits(s.average_power_bits)),
-                    total_energy: Energy::from_micro_joules(f64::from_bits(s.total_energy_bits)),
-                    radio_duty_cycle: f64::from_bits(s.radio_duty_bits),
-                    packets_sent: s.packets_sent,
-                    packets_received: s.packets_received,
-                    false_wakeups: s.false_wakeups,
-                    regression_error: s.regression_error_bits.map(f64::from_bits),
-                    cpu_segments: s.cpu_segments,
+                    node,
+                    log_entries: usize::try_from(s.get_u64("e")?).ok()?,
+                    log_dropped: s.get_u64("d")?,
+                    average_power: Power::from_micro_watts(float(s, "p")?),
+                    total_energy: Energy::from_micro_joules(float(s, "te")?),
+                    radio_duty_cycle: float(s, "dc")?,
+                    packets_sent: s.get_u64("ps")?,
+                    packets_received: s.get_u64("pr")?,
+                    false_wakeups: s.get_u64("fw")?,
+                    regression_error: s.get_opt_u64("re")?.map(f64::from_bits),
+                    cpu_segments: s.get_u64("cs")?,
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        let stream = record
-            .stream
+        let stream = nodes("m")?
             .iter()
-            .map(|m| NodeStreamMeta {
-                node: NodeId(m.node),
-                entries: m.entries,
-                entry_digest: m.entry_digest,
-                final_stamp: Stamp::new(SimTime::from_micros(m.final_time_us), m.final_icount),
-                log_dropped: m.log_dropped,
-                radio_stats: RadioStats {
-                    packets_sent: m.radio_stats[0],
-                    packets_received: m.radio_stats[1],
-                    clean_wakeups: m.radio_stats[2],
-                    false_wakeups: m.radio_stats[3],
-                    rx_wakeups: m.radio_stats[4],
-                    busy_backoffs: m.radio_stats[5],
-                },
-                ground_truth_total: Energy::from_micro_joules(f64::from_bits(m.ground_truth_bits)),
+            .zip(&node_ids)
+            .map(|(m, &node)| {
+                let [sent, received, clean, false_wakeups, rx, busy] = m.get("rs")?.as_arr()?
+                else {
+                    return None;
+                };
+                Some(NodeStreamMeta {
+                    node,
+                    entries: m.get_u64("e")?,
+                    entry_digest: m.get_u64("g")?,
+                    final_stamp: Stamp::new(
+                        SimTime::from_micros(m.get_u64("t")?),
+                        u32::try_from(m.get_u64("i")?).ok()?,
+                    ),
+                    log_dropped: m.get_u64("d")?,
+                    radio_stats: RadioStats {
+                        packets_sent: sent.as_u64()?,
+                        packets_received: received.as_u64()?,
+                        clean_wakeups: clean.as_u64()?,
+                        false_wakeups: false_wakeups.as_u64()?,
+                        rx_wakeups: rx.as_u64()?,
+                        busy_backoffs: busy.as_u64()?,
+                    },
+                    ground_truth_total: Energy::from_micro_joules(float(m, "gt")?),
+                })
             })
-            .collect();
-        let medium_counters = record.medium.as_ref().map(|c| DeliveryCounters {
-            delivered: c.delivered,
-            lost_out_of_range: c.lost_out_of_range,
-            lost_below_sensitivity: c.lost_below_sensitivity,
-            lost_captured: c.lost_captured,
-            candidates_examined: c.candidates_examined,
-            pruned_by_cutoff: c.pruned_by_cutoff,
-        });
+            .collect::<Option<Vec<_>>>()?;
+        let medium_kind = scenario.medium.kind();
+        let medium_counters = match (record.get("c")?, medium_kind) {
+            (Value::Null, "ideal") => None,
+            (c, kind) if kind != "ideal" => Some(DeliveryCounters {
+                delivered: c.get_u64("dl")?,
+                lost_out_of_range: c.get_u64("lr")?,
+                lost_below_sensitivity: c.get_u64("ls")?,
+                lost_captured: c.get_u64("lc")?,
+                candidates_examined: c.get_u64("ce")?,
+                pruned_by_cutoff: c.get_u64("pc")?,
+            }),
+            _ => return None,
+        };
         Some(ScenarioResult {
             index,
             scenario,
@@ -1329,15 +1363,126 @@ mod tests {
         assert!(c.delivered > 0, "bounce packets must flow in range");
     }
 
-    /// A result rebuilt from its own record must fold the exact same bytes
-    /// into the stream digest — this is the bit-exactness the cache and the
-    /// shard protocol both stand on.
+    fn record_of(result: &ScenarioResult) -> String {
+        let mut record = String::new();
+        result.push_record(&mut record);
+        record
+    }
+
+    fn rebuild(index: usize, scenario: Scenario, record: &str) -> Option<ScenarioResult> {
+        let value = Value::parse(record)?;
+        ScenarioResult::from_record(index, scenario, &value, true)
+    }
+
+    /// Every field crosses its record bit for bit at the edges of its range:
+    /// `u64::MAX` counts and digests, a `u32::MAX` iCount, a set and a null
+    /// `re`, and floats a decimal rendering would not keep (a NaN payload,
+    /// -0.0, the smallest subnormal, infinity).
+    #[test]
+    fn record_round_trips_bit_exactly() {
+        use crate::scenario::MediumSpec;
+        let d = SimDuration::from_secs(1);
+        let scenario = Scenario::bounce(d).with_medium(MediumSpec::UnitDisk {
+            range_m: 100.0,
+            positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
+        });
+        let mut original = run(scenario.clone());
+        let nan = f64::from_bits(0x7ff8_dead_beef_f00d);
+        let max = u64::MAX;
+        for (i, s) in original.summaries.iter_mut().enumerate() {
+            s.log_entries = usize::MAX;
+            s.log_dropped = max;
+            s.average_power = Power::from_micro_watts(nan);
+            s.total_energy = Energy::from_micro_joules(-0.0);
+            s.radio_duty_cycle = f64::from_bits(1);
+            (s.packets_sent, s.packets_received, s.false_wakeups) = (max, max, max);
+            s.regression_error = (i == 0).then_some(f64::NEG_INFINITY);
+            s.cpu_segments = max;
+        }
+        for m in &mut original.stream {
+            m.entries = max;
+            m.entry_digest = max;
+            m.final_stamp = Stamp::new(SimTime::from_micros(max), u32::MAX);
+            m.log_dropped = max;
+            m.radio_stats = RadioStats {
+                packets_sent: max,
+                packets_received: max,
+                clean_wakeups: max,
+                false_wakeups: max,
+                rx_wakeups: max,
+                busy_backoffs: max,
+            };
+            m.ground_truth_total = Energy::from_micro_joules(nan);
+        }
+        let c = original.medium_counters.as_mut().expect("unit disk counts");
+        *c = DeliveryCounters {
+            delivered: max,
+            lost_out_of_range: max,
+            lost_below_sensitivity: max,
+            lost_captured: max,
+            candidates_examined: max,
+            pruned_by_cutoff: max,
+        };
+        let record = record_of(&original);
+        assert!(!record.contains('\n'), "line protocol: {record}");
+        assert!(record.contains("\"re\":null"), "{record}");
+        let rebuilt = rebuild(0, scenario, &record).expect("edge values decode");
+        assert_eq!(record_of(&rebuilt), record, "record bytes round-trip");
+        let summary_bits = |s: &NodeSummary| {
+            let fields = [
+                u64::from(s.node.as_u32()),
+                s.log_entries as u64,
+                s.log_dropped,
+                s.average_power.as_micro_watts().to_bits(),
+                s.total_energy.as_micro_joules().to_bits(),
+                s.radio_duty_cycle.to_bits(),
+                s.packets_sent,
+                s.packets_received,
+                s.false_wakeups,
+                s.cpu_segments,
+            ];
+            (fields, s.regression_error.map(f64::to_bits))
+        };
+        assert_eq!(
+            rebuilt
+                .summaries
+                .iter()
+                .map(summary_bits)
+                .collect::<Vec<_>>(),
+            original
+                .summaries
+                .iter()
+                .map(summary_bits)
+                .collect::<Vec<_>>()
+        );
+        // `Energy` compares NaN unequal, so the ground truth goes by bits.
+        let stream_bits = |m: &NodeStreamMeta| {
+            let gt = m.ground_truth_total.as_micro_joules().to_bits();
+            let rest = NodeStreamMeta {
+                ground_truth_total: Energy::ZERO,
+                ..*m
+            };
+            (rest, gt)
+        };
+        assert_eq!(
+            rebuilt.stream.iter().map(stream_bits).collect::<Vec<_>>(),
+            original.stream.iter().map(stream_bits).collect::<Vec<_>>()
+        );
+        assert_eq!(rebuilt.medium_counters, original.medium_counters);
+    }
+
+    /// A result rebuilt from its own record writes the same record bytes
+    /// and folds the exact same bytes into the stream digest — the
+    /// bit-exactness the cache and the shard protocol both stand on.  LPL
+    /// covers a null `re` and no counters, Blink a set `re`, the unit disk
+    /// set counters.
     #[test]
     fn record_round_trip_preserves_the_stream_digest_fold() {
         use crate::scenario::MediumSpec;
         let d = SimDuration::from_secs(2);
         for scenario in [
             Scenario::lpl(17, 0.18, d),
+            Scenario::blink(d),
             Scenario::bounce(d).with_medium(MediumSpec::UnitDisk {
                 range_m: 100.0,
                 positions: vec![(1, 0.0, 0.0), (4, 5.0, 0.0)],
@@ -1345,11 +1490,12 @@ mod tests {
         ] {
             let original =
                 ScenarioResult::execute_streaming_in(3, scenario.clone(), &mut SimWorkspace::new());
-            let record = original.to_record();
-            let rebuilt = ScenarioResult::from_record(3, scenario, &record, true)
-                .expect("own record matches own scenario");
+            let record = record_of(&original);
+            assert!(!record.contains('\n'), "line protocol: {record}");
+            let rebuilt = rebuild(3, scenario, &record).expect("own record matches own scenario");
             assert!(rebuilt.cache_hit());
             assert!(!original.cache_hit());
+            assert_eq!(record_of(&rebuilt), record, "record bytes round-trip");
             let mut a = Fnv::new();
             original.fold_stream_digest(&mut a);
             let mut b = Fnv::new();
@@ -1359,22 +1505,53 @@ mod tests {
         }
     }
 
+    /// Decoding is total: every structural defect gives `None`.
+    #[test]
+    fn structural_mismatch_decodes_to_none() {
+        let d = SimDuration::from_secs(1);
+        let idle = run(Scenario::idle(d));
+        let good = record_of(&idle);
+        assert!(rebuild(0, Scenario::idle(d), &good).is_some());
+        let rs = format!("{:?}", [0u64; 6]).replace(' ', "");
+        assert!(good.contains(&format!("\"rs\":{rs}")), "{good}");
+        let icount = format!("\"i\":{}", idle.stream[0].final_stamp.icount);
+        assert!(good.contains(&icount), "{good}");
+        for bad in [
+            good.replace("\"gt\"", "\"xx\""), // missing key
+            good.replace("\"rs\":[0,0,0,0,0,0]", "\"rs\":[0,0,0,0,0]"), // short array
+            good.replace("\"rs\":[0,0,0,0,0,0]", "\"rs\":{}"), // wrong shape
+            good.replace("\"s\":[", "\"s\":[[],"), // extra node
+            good.replace(&icount, &format!("\"i\":{}", 1u64 << 32)), // beyond u32
+            good.replace("\"n\":1,", &format!("\"n\":{},", (1u64 << 32) + 1)), // beyond u32
+            good.replace(",\"c\":null", ""),  // counters absent
+        ] {
+            assert_ne!(bad, good, "the mutation must apply");
+            assert!(
+                rebuild(0, Scenario::idle(d), &bad).is_none(),
+                "{bad} must not decode"
+            );
+        }
+    }
+
     /// A record that does not describe the scenario it is paired with must
     /// be rejected, not folded.
     #[test]
     fn from_record_rejects_mismatched_scenarios() {
         let d = SimDuration::from_secs(1);
-        let idle = run(Scenario::idle(d));
-        let record = idle.to_record();
+        let record = record_of(&run(Scenario::idle(d)));
         // Bounce runs nodes {1, 4}; an idle record has only node 1.
-        assert!(ScenarioResult::from_record(0, Scenario::bounce(d), &record, true).is_none());
+        assert!(rebuild(0, Scenario::bounce(d), &record).is_none());
         // A unit-disk scenario expects delivery counters; idle has none.
         use crate::scenario::MediumSpec;
         let disk = Scenario::idle(d).with_medium(MediumSpec::UnitDisk {
             range_m: 1.0,
             positions: vec![],
         });
-        assert!(ScenarioResult::from_record(0, disk, &record, true).is_none());
+        assert!(rebuild(0, disk, &record).is_none());
+        // An ideal-medium scenario refuses counters it never tracks.
+        let counters = "\"c\":{\"dl\":0,\"lr\":0,\"ls\":0,\"lc\":0,\"ce\":0,\"pc\":0}";
+        let with_counters = record.replace("\"c\":null", counters);
+        assert!(rebuild(0, Scenario::idle(d), &with_counters).is_none());
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub fn execute_or_cached_in(
                 return result;
             }
             let result = ScenarioResult::execute_streaming_in(index, scenario, ws);
-            cache.store_record(&result.scenario, &result.to_record());
+            cache.store(&result);
             result
         }
         (Retention::Stream, None) | (Retention::Raw, _) => {

@@ -9,7 +9,9 @@
 //! * a shard dying mid-sweep only requeues its chunk — a surviving shard
 //!   finishes the sweep with the same digest;
 //! * so does a shard whose record holds a decimal where a bit pattern
-//!   belongs;
+//!   belongs, or a well-formed record for another cell;
+//! * a shard is told `done` only once the sweep is over, so a peer's cells
+//!   that come back after it ran out of work are not stranded;
 //! * losing *every* shard is a prompt `ShardsDied` error, not a hang;
 //! * a 1024-node cell's result line, a shard's largest, crosses intact.
 //!
@@ -22,9 +24,10 @@ use quanto_fleet::wire::{read_msg, Value};
 use quanto_fleet::{
     dist, Coordinator, DistError, DistOptions, FleetRunner, GridOverrides, GridSpec,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// `digest_pin.rs`'s `pin_batch()` as grid text, with its recorded stream
 /// digest — the constant every execution topology below must reproduce.
@@ -225,11 +228,18 @@ const DECIMAL_RECORD: &str = "{\"s\":[{\"n\":1,\"e\":5,\"d\":0,\"p\":1.5,\"te\":
      \"ps\":0,\"pr\":0,\"fw\":0,\"re\":null,\"cs\":2}],\"m\":[{\"n\":1,\"e\":5,\"g\":99,\
      \"t\":1000000,\"i\":17,\"d\":0,\"rs\":[0,0,0,0,0,0],\"gt\":0}],\"c\":null}";
 
-/// A shard that returns a decimal where a bit pattern belongs is a broken
-/// shard: the coordinator hangs up on it and requeues its chunk, and a
-/// healthy shard finishes the sweep with the pinned digest.
-#[test]
-fn a_decimal_in_a_result_record_requeues_the_cell() {
+/// A record well formed in every field, for a cell that does not match it:
+/// counters for a cell on the ideal medium, which tracks none.
+const WRONG_CELL_RECORD: &str = "{\"s\":[{\"n\":1,\"e\":5,\"d\":0,\"p\":0,\"te\":0,\"dc\":0,\
+     \"ps\":0,\"pr\":0,\"fw\":0,\"re\":null,\"cs\":2}],\"m\":[{\"n\":1,\"e\":5,\"g\":99,\
+     \"t\":1000000,\"i\":17,\"d\":0,\"rs\":[0,0,0,0,0,0],\"gt\":0}],\
+     \"c\":{\"dl\":1,\"lr\":0,\"ls\":0,\"lc\":0,\"ce\":1,\"pc\":0}}";
+
+/// A hand-rolled shard answers the first cell of its chunk with `record`;
+/// the coordinator must hang up on it and requeue what it owed, and a
+/// healthy shard must then finish the sweep with the pinned digest.  The
+/// hang-up is read with a timeout, which counts as "not hung up".
+fn a_bad_record_ends_the_connection(record: &'static str) {
     let coordinator = Coordinator::bind(
         PIN_BATCH_GRID,
         GridOverrides::default(),
@@ -240,12 +250,20 @@ fn a_decimal_in_a_result_record_requeues_the_cell() {
     let shards = std::thread::spawn(move || {
         let (mut reader, mut writer, indices) = claim_a_chunk(&addr);
         let result = format!(
-            "{{\"t\":\"result\",\"index\":{},\"cache_hit\":false,\"record\":{DECIMAL_RECORD}}}\n",
+            "{{\"t\":\"result\",\"index\":{},\"cache_hit\":false,\"record\":{record}}}\n",
             indices[0]
         );
         writer.write_all(result.as_bytes()).expect("result");
+        reader
+            .get_ref()
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
         let mut reply = String::new();
-        let hung_up = matches!(reader.read_line(&mut reply), Ok(0) | Err(_));
+        let hung_up = match reader.read_line(&mut reply) {
+            Ok(read) => read == 0,
+            Err(e) => !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        drop((reader, writer));
         (hung_up, dist::run_shard(&addr))
     });
     let mut merged = 0usize;
@@ -255,11 +273,81 @@ fn a_decimal_in_a_result_record_requeues_the_cell() {
     let (hung_up, survivor) = shards.join().expect("shard thread");
     assert!(
         hung_up,
-        "the coordinator must drop a shard that sent a bad record"
+        "the coordinator must drop a shard whose record does not rebuild its cell: {record}"
     );
     survivor.expect("survivor ok");
     assert_eq!(merged, PIN_BATCH_LEN, "every scenario merged exactly once");
     assert_eq!(report.digest(), PIN_BATCH_STREAM_DIGEST);
+}
+
+/// A shard that returns a decimal where a bit pattern belongs is a broken
+/// shard.
+#[test]
+fn a_decimal_in_a_result_record_requeues_the_cell() {
+    a_bad_record_ends_the_connection(DECIMAL_RECORD);
+}
+
+/// So is one that returns a well-formed record which does not rebuild its
+/// cell.
+#[test]
+fn a_record_for_another_cell_ends_the_connection() {
+    a_bad_record_ends_the_connection(WRONG_CELL_RECORD);
+}
+
+/// Two one-second idle cells: cheap enough to finish well inside the
+/// holder's one-second hold, even in a debug build.
+const TWO_IDLE_CELLS: &str = "
+[grid]
+name = two_idle
+seconds = 1
+
+[cell.idle]
+app = idle
+seeds = 1..2
+name = idle_seed{seed}
+";
+
+/// `done` means the sweep is over.  A hand-rolled holder claims cell 0; a
+/// real shard runs cell 1 and asks for more while the holder still owns
+/// cell 0.  The holder hangs up once that shard has returned, or after
+/// about a second.  The shard must still be there to take cell 0 back:
+/// told `done` early, it would leave, and the requeued cell would strand
+/// with no shard left (`ShardsDied`).
+#[test]
+fn a_shard_stays_until_a_peers_cells_are_done() {
+    let coordinator = Coordinator::bind(
+        TWO_IDLE_CELLS,
+        GridOverrides::default(),
+        &options(2, 1, None),
+    )
+    .expect("bind");
+    assert_eq!(coordinator.total(), 2);
+    let addr = coordinator.addr().expect("addr").to_string();
+    let shards = std::thread::spawn(move || {
+        let held = claim_a_chunk(&addr);
+        assert_eq!(held.2, [0], "the holder claims cell 0");
+        let (returned, shard_returned) = std::sync::mpsc::channel();
+        let shard = std::thread::spawn(move || {
+            let outcome = dist::run_shard(&addr);
+            let _ = returned.send(());
+            outcome
+        });
+        let _ = shard_returned.recv_timeout(Duration::from_secs(1));
+        drop(held);
+        shard.join().expect("shard thread")
+    });
+    let report = coordinator.run(|_| {});
+    let shard = shards.join().expect("shards thread");
+    let report = report.expect("the held cell comes back to the shard still connected");
+    shard.expect("shard ok");
+    let batch = GridSpec::parse(TWO_IDLE_CELLS)
+        .expect("grid parses")
+        .expand()
+        .expect("grid expands");
+    assert_eq!(
+        report.digest(),
+        FleetRunner::sequential().run(batch).digest()
+    );
 }
 
 /// Losing every shard with work still queued must fail promptly with
